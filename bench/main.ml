@@ -22,9 +22,6 @@ let experiments =
     ( "kernels-smoke",
       "Tiny RG-engine comparison (enum vs BDD) + BENCH_kernels.json",
       Bench_kernels.run_smoke );
-    ( "service",
-      "Serving stack: req/s and tail latency, cold vs warm cache",
-      Bench_service.run );
     ("ablation", "Ablations of DESIGN.md choices", Bench_ablation.run);
     ("validation", "Validation: audits vs simulated availability", Bench_validation.run);
   ]

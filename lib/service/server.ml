@@ -170,9 +170,9 @@ let spec_digest ~meth p =
             ("seed", Json.Int p.audit_seed);
           ]))
 
-let cache_key ~meth ~(view : Snapshot.view) p =
+let cache_key ~meth ~snapshot_digest p =
   {
-    Cache.snapshot_digest = view.Snapshot.digest;
+    Cache.snapshot_digest;
     spec_digest = spec_digest ~meth p;
     engine = engine_name p;
     budget = p.max_family;
@@ -199,12 +199,21 @@ let sia_request p =
   Sia_audit.request ~required:p.required ?component_probability ~algorithm
     ~ranking p.servers
 
-let lookup_snapshot t name =
+let unknown_snapshot name =
+  fail_code "unknown-snapshot" "no snapshot %S (submit dependency data first)"
+    name
+
+(* The stored digest alone keys the cache, so a hit never touches the
+   records; the union DepDB is rebuilt only inside the miss thunk. *)
+let snapshot_digest t name =
+  match Snapshot.digest t.store ~snapshot:name with
+  | Some digest -> digest
+  | None -> unknown_snapshot name
+
+let snapshot_db t name =
   match Snapshot.get t.store ~snapshot:name with
-  | Some view -> view
-  | None ->
-      fail_code "unknown-snapshot"
-        "no snapshot %S (submit dependency data first)" name
+  | Some view -> view.Snapshot.db
+  | None -> unknown_snapshot name
 
 (* Audit computations can die many ways; every one must come back as
    an error response, not kill the daemon. *)
@@ -238,12 +247,12 @@ let submit_deps t params =
     | records -> records
     | exception Failure msg -> bad "cannot parse records: %s" msg
   in
-  let old = Snapshot.get t.store ~snapshot in
+  let old = Snapshot.digest t.store ~snapshot in
   let view = Snapshot.submit t.store ~snapshot ~source records in
   let invalidated =
     match old with
-    | Some o when o.Snapshot.digest <> view.Snapshot.digest ->
-        Cache.invalidate_snapshot t.cache ~digest:o.Snapshot.digest
+    | Some digest when digest <> view.Snapshot.digest ->
+        Cache.invalidate_snapshot t.cache ~digest
     | _ -> 0
   in
   Obs.incr "service.submissions";
@@ -261,12 +270,12 @@ let submit_deps t params =
 
 let audit t params =
   let p = audit_params t params in
-  let view = lookup_snapshot t p.snapshot in
-  cached t (cache_key ~meth:"audit" ~view p) @@ fun () ->
+  let snapshot_digest = snapshot_digest t p.snapshot in
+  cached t (cache_key ~meth:"audit" ~snapshot_digest p) @@ fun () ->
+  let db = snapshot_db t p.snapshot in
   guarded @@ fun () ->
   let report =
-    Sia_audit.audit ~rng:(Prng.of_int p.audit_seed) view.Snapshot.db
-      (sia_request p)
+    Sia_audit.audit ~rng:(Prng.of_int p.audit_seed) db (sia_request p)
   in
   Sia_report.deployment_to_json report
 
@@ -307,22 +316,24 @@ let compare_deployments t params =
             (("servers", Json.List flat) :: List.remove_assoc "servers" fields)
       | _ -> Json.Obj [ ("servers", Json.List flat) ])
   in
-  let view = lookup_snapshot t p.snapshot in
-  cached t (cache_key ~meth:"compare" ~view p) @@ fun () ->
+  let snapshot_digest = snapshot_digest t p.snapshot in
+  cached t (cache_key ~meth:"compare" ~snapshot_digest p) @@ fun () ->
+  let db = snapshot_db t p.snapshot in
   guarded @@ fun () ->
   let reports =
-    Sia_audit.audit_candidates ~rng:(Prng.of_int p.audit_seed)
-      view.Snapshot.db ~candidates (sia_request { p with servers = [] })
+    Sia_audit.audit_candidates ~rng:(Prng.of_int p.audit_seed) db ~candidates
+      (sia_request { p with servers = [] })
   in
   Sia_report.comparison_to_json reports
 
 let rg_query t params =
   let p = audit_params t params in
-  let view = lookup_snapshot t p.snapshot in
-  cached t (cache_key ~meth:"rg-query" ~view p) @@ fun () ->
+  let snapshot_digest = snapshot_digest t p.snapshot in
+  cached t (cache_key ~meth:"rg-query" ~snapshot_digest p) @@ fun () ->
+  let db = snapshot_db t p.snapshot in
   guarded @@ fun () ->
   let spec = Builder.spec ~required:p.required p.servers in
-  let graph = Builder.build view.Snapshot.db spec in
+  let graph = Builder.build db spec in
   let rgs =
     match p.engine with
     | `Bdd -> Bdd.minimal_risk_groups graph

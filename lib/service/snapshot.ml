@@ -3,7 +3,18 @@ module Dependency = Indaas_depdata.Dependency
 module Json = Indaas_util.Json
 module SM = Map.Make (String)
 
-type snap = { version : int; by_source : Dependency.t list SM.t }
+(* Everything a request needs before it misses the cache is computed
+   once per accepted submission and kept beside [by_source]. The union
+   DepDB is rebuilt on demand instead of kept, so the store's heap
+   stays at the size of its record lists. *)
+type snap = {
+  version : int;
+  by_source : Dependency.t list SM.t;
+  digest : string;  (** of the union *)
+  records : int;  (** union size *)
+  sources : (string * int) list;
+}
+
 type store = { mutable snaps : snap SM.t }
 
 type view = {
@@ -20,50 +31,66 @@ let create () = { snaps = SM.empty }
    iteration order everywhere downstream) is a pure function of the
    snapshot's contents, not of submission history. The digest is
    order-invariant anyway; this keeps reports deterministic too. *)
-let view_of ~name snap =
+let union by_source =
   let db = Depdb.create () in
-  SM.iter (fun _ records -> Depdb.add_all db records) snap.by_source;
+  SM.iter (fun _ records -> Depdb.add_all db records) by_source;
+  db
+
+let view_of ~name (snap : snap) db =
   {
     name;
     version = snap.version;
-    digest = Depdb.digest db;
+    digest = snap.digest;
     db;
-    sources = SM.bindings (SM.map List.length snap.by_source);
+    sources = snap.sources;
   }
 
 let submit store ~snapshot ~source records =
-  let prev =
+  let prev_version, prev_sources =
     match SM.find_opt snapshot store.snaps with
-    | Some s -> s
-    | None -> { version = 0; by_source = SM.empty }
+    | Some s -> (s.version, s.by_source)
+    | None -> (0, SM.empty)
   in
   let by_source =
     match records with
-    | [] -> SM.remove source prev.by_source
-    | records -> SM.add source records prev.by_source
+    | [] -> SM.remove source prev_sources
+    | records -> SM.add source records prev_sources
   in
-  let snap = { version = prev.version + 1; by_source } in
+  let db = union by_source in
+  let snap =
+    {
+      version = prev_version + 1;
+      by_source;
+      digest = Depdb.digest db;
+      records = Depdb.size db;
+      sources = SM.bindings (SM.map List.length by_source);
+    }
+  in
   store.snaps <- SM.add snapshot snap store.snaps;
-  view_of ~name:snapshot snap
+  view_of ~name:snapshot snap db
+
+let digest store ~snapshot =
+  Option.map (fun (s : snap) -> s.digest) (SM.find_opt snapshot store.snaps)
 
 let get store ~snapshot =
-  Option.map (view_of ~name:snapshot) (SM.find_opt snapshot store.snaps)
+  Option.map
+    (fun snap -> view_of ~name:snapshot snap (union snap.by_source))
+    (SM.find_opt snapshot store.snaps)
 
 let names store = List.map fst (SM.bindings store.snaps)
 
 let to_json store =
   Json.List
     (List.map
-       (fun (name, snap) ->
-         let v = view_of ~name snap in
+       (fun (name, (snap : snap)) ->
          Json.Obj
            [
              ("snapshot", Json.String name);
-             ("version", Json.Int v.version);
-             ("digest", Json.String v.digest);
-             ("records", Json.Int (Depdb.size v.db));
+             ("version", Json.Int snap.version);
+             ("digest", Json.String snap.digest);
+             ("records", Json.Int snap.records);
              ( "sources",
                Json.Obj
-                 (List.map (fun (s, n) -> (s, Json.Int n)) v.sources) );
+                 (List.map (fun (s, n) -> (s, Json.Int n)) snap.sources) );
            ])
        (SM.bindings store.snaps))

@@ -9,7 +9,16 @@
     recomputes its content digest ({!Indaas_depdata.Depdb.digest}),
     which is what audit result caching keys on: a delta that does not
     change the record set keeps the digest, so cached results stay
-    valid. *)
+    valid.
+
+    Cost model. The store keeps each source's record list plus, per
+    snapshot, the digest, union record count and per-source counts,
+    all computed once per accepted submission (one union build and
+    one digest). {!digest} and {!to_json} only read those stored
+    values. The union DepDB is not kept: {!get} rebuilds it on every
+    call, so the server calls it only when an audit misses the result
+    cache. A cache hit therefore costs a map lookup, the spec digest,
+    a cache lookup and response encoding. *)
 
 module Depdb := Indaas_depdata.Depdb
 module Dependency := Indaas_depdata.Dependency
@@ -20,7 +29,9 @@ type view = {
   name : string;
   version : int;  (** 1 on first submission, +1 per accepted delta *)
   digest : string;  (** canonical content digest of [db] *)
-  db : Depdb.t;  (** union of all sources, rebuilt per delta *)
+  db : Depdb.t;
+      (** union of all sources, merged in source-name order; rebuilt
+          by every {!get} *)
   sources : (string * int) list;
       (** source name -> record count, sorted by name *)
 }
@@ -33,11 +44,17 @@ val submit :
     needed) and return the new view. Submitting an empty list drops
     the source. *)
 
+val digest : store -> snapshot:string -> string option
+(** The snapshot's stored content digest: a map lookup, no rebuild.
+    [None] for an unknown snapshot. *)
+
 val get : store -> snapshot:string -> view option
+(** Rebuilds the union DepDB (but not the digest, which is stored). *)
 
 val names : store -> string list
 (** Snapshot names, sorted. *)
 
 val to_json : store -> Indaas_util.Json.t
-(** Per-snapshot version/digest/source summary (for the [stats]
-    method), snapshots in name order. *)
+(** Per-snapshot version/digest/record-count/source summary (for the
+    [stats] method), snapshots in name order. Reads stored values
+    only. *)

@@ -105,7 +105,8 @@ let of_string s =
     match peek () with
     | Some c' when c' = c -> advance ()
     | Some c' -> parse_error "Json.of_string: expected %C at %d, got %C" c !pos c'
-    | None -> parse_error "Json.of_string: expected %C, got end of input" c
+    | None ->
+        parse_error "Json.of_string: expected %C at %d, got end of input" c !pos
   in
   let expect_word w value =
     if !pos + String.length w <= len && String.sub s !pos (String.length w) = w
@@ -231,7 +232,8 @@ let of_string s =
   let rec parse_value () =
     skip_ws ();
     match peek () with
-    | None -> parse_error "Json.of_string: empty input"
+    | None ->
+        parse_error "Json.of_string: end of input inside a value at %d" !pos
     | Some '"' -> String (parse_string ())
     | Some 't' -> expect_word "true" (Bool true)
     | Some 'f' -> expect_word "false" (Bool false)
@@ -283,6 +285,8 @@ let of_string s =
     | Some '-' | Some ('0' .. '9') -> parse_number ()
     | Some c -> parse_error "Json.of_string: unexpected %C at %d" c !pos
   in
+  skip_ws ();
+  if !pos = len then parse_error "Json.of_string: empty input";
   let v = parse_value () in
   skip_ws ();
   if !pos <> len then

@@ -233,6 +233,106 @@ let test_snapshot_digest_source_invariant () =
   check Alcotest.string "same digest" v_one.Snapshot.digest
     v_two.Snapshot.digest
 
+(* qcheck: after every step of a random submit / replace / drop
+   sequence, the digest, counts and union the store hands out equal a
+   from-scratch rebuild of the current sources in source-name order. *)
+type snapshot_op = Put of int * int list | Drop of int | Resubmit of int
+
+let snapshot_pool =
+  [|
+    record 0;
+    record 1;
+    record 2;
+    Dependency.network ~src:"S1" ~dst:"Internet" ~route:[ "ToR1"; "Core1" ];
+    Dependency.network ~src:"S2" ~dst:"Internet" ~route:[ "ToR1"; "Core2" ];
+    Dependency.software ~pgm:"Riak" ~host:"S1" ~deps:[ "libc6" ];
+    Dependency.software ~pgm:"Riak" ~host:"S3" ~deps:[ "libc6"; "ssl" ];
+  |]
+
+(* Index order is not name order, so the name-ordered merge shows. *)
+let snapshot_source i = [| "nsd"; "a"; "lshw"; "apt" |].(i)
+
+let arb_snapshot_ops =
+  let open QCheck.Gen in
+  let src = int_bound 3 in
+  let op =
+    frequency
+      [
+        ( 5,
+          map2
+            (fun s rs -> Put (s, rs))
+            src
+            (list_size (int_range 1 5)
+               (int_bound (Array.length snapshot_pool - 1))) );
+        (1, map (fun s -> Drop s) src);
+        (1, map (fun s -> Resubmit s) src);
+      ]
+  in
+  let print = function
+    | Put (s, rs) ->
+        Printf.sprintf "put %s [%s]" (snapshot_source s)
+          (String.concat ";" (List.map string_of_int rs))
+    | Drop s -> "drop " ^ snapshot_source s
+    | Resubmit s -> "resubmit " ^ snapshot_source s
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list print)
+    (list_size (int_range 1 20) op)
+
+let prop_snapshot_matches_rebuild =
+  QCheck.Test.make ~name:"stored snapshot state equals a fresh rebuild"
+    ~count:300 arb_snapshot_ops (fun ops ->
+      let module SM = Map.Make (String) in
+      let store = Snapshot.create () in
+      let step (model, version) op =
+        let source, records =
+          match op with
+          | Put (s, rs) ->
+              (snapshot_source s, List.map (Array.get snapshot_pool) rs)
+          | Drop s -> (snapshot_source s, [])
+          | Resubmit s ->
+              let source = snapshot_source s in
+              (source, Option.value ~default:[] (SM.find_opt source model))
+        in
+        let submitted = Snapshot.submit store ~snapshot:"s" ~source records in
+        let model =
+          if records = [] then SM.remove source model
+          else SM.add source records model
+        in
+        let version = version + 1 in
+        let fresh = Depdb.create () in
+        SM.iter (fun _ records -> Depdb.add_all fresh records) model;
+        let digest = Depdb.digest fresh in
+        let sources = SM.bindings (SM.map List.length model) in
+        let expected_json =
+          Json.Obj
+            [
+              ("snapshot", Json.String "s");
+              ("version", Json.Int version);
+              ("digest", Json.String digest);
+              ("records", Json.Int (Depdb.size fresh));
+              ( "sources",
+                Json.Obj (List.map (fun (s, n) -> (s, Json.Int n)) sources) );
+            ]
+        in
+        if Snapshot.digest store ~snapshot:"s" <> Some digest then
+          QCheck.Test.fail_report "Snapshot.digest differs from rebuild";
+        List.iter
+          (fun (view : Snapshot.view) ->
+            if
+              view.digest <> digest || view.version <> version
+              || view.sources <> sources
+              || Depdb.records view.db <> Depdb.records fresh
+            then QCheck.Test.fail_report "view differs from rebuild")
+          [ submitted; Option.get (Snapshot.get store ~snapshot:"s") ];
+        if Snapshot.to_json store <> Json.List [ expected_json ] then
+          QCheck.Test.fail_reportf "to_json: %s"
+            (Json.to_string (Snapshot.to_json store));
+        (model, version)
+      in
+      ignore (List.fold_left step (SM.empty, 0) ops);
+      true)
+
 (* --- result cache -------------------------------------------------------- *)
 
 let key ?(snap = "d1") ?(spec = "s1") ?(engine = "auto") ?budget () =
@@ -276,6 +376,111 @@ let test_cache_lru_eviction () =
   check Alcotest.bool "lru evicted" true (Cache.find c (key ~spec:"b" ()) = None);
   check Alcotest.bool "recent kept" true (Cache.find c (key ~spec:"a" ()) <> None);
   check Alcotest.int "evictions counted" 1 (Cache.stats c).Cache.evicted
+
+(* qcheck: the cache against a naive LRU model — a list of entries,
+   most recent first. Both run the same random find / add /
+   invalidate sequence; every step must give the same answer and the
+   same stats. After each prefix, probing every key on both shows the
+   same contents, so each eviction picked the same victim. *)
+type cache_op =
+  | Find of Cache.key
+  | Add of Cache.key * int
+  | Invalidate of string
+
+type lru_model = {
+  cap : int;
+  mutable lru : (Cache.key * Json.t) list;
+  mutable st : Cache.stats;  (** [entries] is [List.length lru] *)
+}
+
+let model_find m k =
+  match List.assoc_opt k m.lru with
+  | Some v ->
+      m.st <- { m.st with hits = m.st.hits + 1 };
+      m.lru <- (k, v) :: List.remove_assoc k m.lru;
+      Some v
+  | None ->
+      m.st <- { m.st with misses = m.st.misses + 1 };
+      None
+
+let model_add m k v =
+  if List.mem_assoc k m.lru then m.lru <- List.remove_assoc k m.lru
+  else if List.length m.lru >= m.cap then begin
+    m.lru <- List.filteri (fun i _ -> i < m.cap - 1) m.lru;
+    m.st <- { m.st with evicted = m.st.evicted + 1 }
+  end;
+  m.lru <- (k, v) :: m.lru
+
+let model_invalidate m digest =
+  let doomed, kept =
+    List.partition (fun (k, _) -> k.Cache.snapshot_digest = digest) m.lru
+  in
+  let n = List.length doomed in
+  m.lru <- kept;
+  m.st <- { m.st with invalidated = m.st.invalidated + n };
+  n
+
+let cache_universe =
+  List.concat_map
+    (fun snap -> List.map (fun spec -> key ~snap ~spec ()) [ "a"; "b"; "c" ])
+    [ "d1"; "d2"; "d3" ]
+
+let arb_cache_ops =
+  let open QCheck.Gen in
+  let k = oneofl cache_universe in
+  let op =
+    frequency
+      [
+        (3, map (fun k -> Find k) k);
+        (3, map2 (fun k v -> Add (k, v)) k small_nat);
+        (1, map (fun d -> Invalidate d) (oneofl [ "d1"; "d2"; "d3" ]));
+      ]
+  in
+  let print = function
+    | Find k -> Printf.sprintf "find %s/%s" k.Cache.snapshot_digest k.spec_digest
+    | Add (k, v) ->
+        Printf.sprintf "add %s/%s=%d" k.Cache.snapshot_digest k.spec_digest v
+    | Invalidate d -> "invalidate " ^ d
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list print))
+    (pair (int_range 1 5) (list_size (int_range 1 40) op))
+
+let prop_cache_matches_model =
+  QCheck.Test.make ~name:"cache matches a naive LRU model" ~count:300
+    arb_cache_ops (fun (capacity, ops) ->
+      (* One observation per op: lookup result or invalidation count,
+         then the stats. *)
+      let run ops =
+        let c = Cache.create ~capacity () in
+        let m =
+          {
+            cap = capacity;
+            lru = [];
+            st =
+              { entries = 0; hits = 0; misses = 0; invalidated = 0; evicted = 0 };
+          }
+        in
+        List.for_all
+          (fun op ->
+            let same =
+              match op with
+              | Find k -> Cache.find c k = model_find m k
+              | Add (k, v) ->
+                  Cache.add c k (Json.Int v);
+                  model_add m k (Json.Int v);
+                  true
+              | Invalidate d ->
+                  Cache.invalidate_snapshot c ~digest:d = model_invalidate m d
+            in
+            same
+            && Cache.stats c = { m.st with entries = List.length m.lru })
+          ops
+      in
+      let probes = List.map (fun k -> Find k) cache_universe in
+      List.for_all
+        (fun n -> run (List.filteri (fun i _ -> i < n) ops @ probes))
+        (List.init (List.length ops + 1) Fun.id))
 
 (* --- scheduler ------------------------------------------------------------ *)
 
@@ -564,6 +769,7 @@ let () =
             test_snapshot_versions_and_deltas;
           Alcotest.test_case "digest source-invariant" `Quick
             test_snapshot_digest_source_invariant;
+          qtest prop_snapshot_matches_rebuild;
         ] );
       ( "cache",
         [
@@ -571,6 +777,7 @@ let () =
           Alcotest.test_case "scoped invalidation" `Quick
             test_cache_invalidation_is_scoped;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
+          qtest prop_cache_matches_model;
         ] );
       ( "scheduler",
         [

@@ -334,6 +334,24 @@ let test_json_lone_surrogates_rejected () =
   check Alcotest.bool "low then high" true (parse_fails {|"\uDE00\uD83D"|});
   check Alcotest.bool "truncated second escape" true (parse_fails {|"\uD83D\uDE"|})
 
+let test_json_truncation_messages () =
+  let error input =
+    match Json.of_string input with
+    | exception Json.Parse_error msg -> msg
+    | _ -> Alcotest.failf "%S parsed" input
+  in
+  check Alcotest.string "empty" "Json.of_string: empty input" (error "");
+  check Alcotest.string "whitespace only" "Json.of_string: empty input"
+    (error " \n\t ");
+  check Alcotest.string "nested lists"
+    "Json.of_string: end of input inside a value at 3" (error "[[[");
+  check Alcotest.string "after comma"
+    "Json.of_string: end of input inside a value at 4" (error "[1, ");
+  check Alcotest.string "after colon"
+    "Json.of_string: end of input inside a value at 5" (error {|{"a":|});
+  check Alcotest.string "unclosed list"
+    "Json.of_string: expected ']' at 2, got end of input" (error "[1")
+
 (* --- qcheck properties --------------------------------------------- *)
 
 let prop_int_in_range =
@@ -415,6 +433,8 @@ let () =
           Alcotest.test_case "surrogate pairs" `Quick test_json_surrogate_pairs;
           Alcotest.test_case "lone surrogates rejected" `Quick
             test_json_lone_surrogates_rejected;
+          Alcotest.test_case "truncation messages" `Quick
+            test_json_truncation_messages;
         ] );
       ( "timing",
         [
