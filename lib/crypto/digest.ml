@@ -4,14 +4,14 @@
 let m32 = 0xFFFFFFFF
 
 let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land m32
-let rotr32 x n = ((x lsr n) lor (x lsl (32 - n))) land m32
 
 type algorithm = MD5 | SHA1 | SHA256
 
 let output_length = function MD5 -> 16 | SHA1 -> 20 | SHA256 -> 32
 
-(* Message padding shared by all three (64-byte blocks, 64-bit length
-   field); [le] selects the byte order of the length field. *)
+(* Whole-message padding for MD5 and SHA-1 (64-byte blocks, 64-bit
+   length field); [le] selects the byte order of the length field.
+   SHA-256, the hash on the snapshot path, pads only its tail. *)
 let pad_message ~le msg =
   let len = String.length msg in
   let bit_len = Int64.of_int (len * 8) in
@@ -180,49 +180,91 @@ let sha256_k =
      0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
      0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
 
+(* Big-endian 32-bit word at [off]. Unchecked: callers only read
+   inside a 64-byte block they have already bounded. *)
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+let word_be_unsafe s off =
+  let v = get32u s off in
+  Int32.to_int (if Sys.big_endian then v else bswap32 v) land m32
+
+(* Compress the 64-byte block of [s] at [off] into [h], with [w] as
+   the message-schedule scratch. The rounds run on local values and
+   touch [h] once at the end. Every rotation doubles its 32-bit word
+   into the 63-bit int ([x lor (x lsl 32)]) and shifts right: for a
+   rotation below 32 the result's low 32 bits are exactly the rotated
+   word (bit 31 of the upper copy lands on bit 63 and is dropped, but
+   no amount below 32 reads it), so three rotations share one
+   doubling. The bits above 31 are left unmasked: in a sum they only
+   reach higher bits, and every word that is stored or doubled again
+   ([w.(i)], [a], [e]) is masked first. [ch] and [maj] use the usual
+   three- and four-operation forms of FIPS 180-4's choose and
+   majority. *)
+let sha256_block h w s off =
+  for i = 0 to 15 do
+    Array.unsafe_set w i (word_be_unsafe s (off + (4 * i)))
+  done;
+  for i = 16 to 63 do
+    let x = Array.unsafe_get w (i - 15) and y = Array.unsafe_get w (i - 2) in
+    let xx = x lor (x lsl 32) and yy = y lor (y lsl 32) in
+    let s0 = (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3) in
+    let s1 = (yy lsr 17) lxor (yy lsr 19) lxor (y lsr 10) in
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16) + s0 + Array.unsafe_get w (i - 7) + s1)
+      land m32)
+  done;
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for i = 0 to 63 do
+    let ev = !e and av = !a in
+    let ee = ev lor (ev lsl 32) and aa = av lor (av lsl 32) in
+    let s1 = (ee lsr 6) lxor (ee lsr 11) lxor (ee lsr 25) in
+    let ch = !g lxor (ev land (!f lxor !g)) in
+    let t1 =
+      !hh + s1 + ch + Array.unsafe_get sha256_k i + Array.unsafe_get w i
+    in
+    let s0 = (aa lsr 2) lxor (aa lsr 13) lxor (aa lsr 22) in
+    let maj = (av land !b) lor (!c land (av lor !b)) in
+    hh := !g;
+    g := !f;
+    f := ev;
+    e := (!d + t1) land m32;
+    d := !c;
+    c := !b;
+    b := av;
+    a := (t1 + s0 + maj) land m32
+  done;
+  h.(0) <- (h.(0) + !a) land m32;
+  h.(1) <- (h.(1) + !b) land m32;
+  h.(2) <- (h.(2) + !c) land m32;
+  h.(3) <- (h.(3) + !d) land m32;
+  h.(4) <- (h.(4) + !e) land m32;
+  h.(5) <- (h.(5) + !f) land m32;
+  h.(6) <- (h.(6) + !g) land m32;
+  h.(7) <- (h.(7) + !hh) land m32
+
+(* Full blocks are compressed straight from [msg]; only the tail (the
+   last [len mod 64] bytes, 0x80, zeros and the 64-bit bit length)
+   is copied into one or two padded blocks. *)
 let sha256 msg =
-  let b = pad_message ~le:false msg in
   let h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
              0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |] in
   let w = Array.make 64 0 in
-  let blocks = Bytes.length b / 64 in
-  for blk = 0 to blocks - 1 do
-    let base = blk * 64 in
-    for i = 0 to 15 do
-      w.(i) <- word_be b (base + (4 * i))
-    done;
-    for i = 16 to 63 do
-      let s0 = rotr32 w.(i - 15) 7 lxor rotr32 w.(i - 15) 18 lxor (w.(i - 15) lsr 3) in
-      let s1 = rotr32 w.(i - 2) 17 lxor rotr32 w.(i - 2) 19 lxor (w.(i - 2) lsr 10) in
-      w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land m32
-    done;
-    let a = ref h.(0) and bb = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
-    let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
-    for i = 0 to 63 do
-      let s1 = rotr32 !e 6 lxor rotr32 !e 11 lxor rotr32 !e 25 in
-      let ch = (!e land !f) lxor (lnot !e land !g) land m32 in
-      let t1 = (!hh + s1 + ch + sha256_k.(i) + w.(i)) land m32 in
-      let s0 = rotr32 !a 2 lxor rotr32 !a 13 lxor rotr32 !a 22 in
-      let maj = (!a land !bb) lxor (!a land !c) lxor (!bb land !c) in
-      let t2 = (s0 + maj) land m32 in
-      hh := !g;
-      g := !f;
-      f := !e;
-      e := (!d + t1) land m32;
-      d := !c;
-      c := !bb;
-      bb := !a;
-      a := (t1 + t2) land m32
-    done;
-    h.(0) <- (h.(0) + !a) land m32;
-    h.(1) <- (h.(1) + !bb) land m32;
-    h.(2) <- (h.(2) + !c) land m32;
-    h.(3) <- (h.(3) + !d) land m32;
-    h.(4) <- (h.(4) + !e) land m32;
-    h.(5) <- (h.(5) + !f) land m32;
-    h.(6) <- (h.(6) + !g) land m32;
-    h.(7) <- (h.(7) + !hh) land m32
+  let len = String.length msg in
+  let full = len / 64 in
+  for blk = 0 to full - 1 do
+    sha256_block h w msg (64 * blk)
   done;
+  let rest = len - (64 * full) in
+  let tail_len = if rest < 56 then 64 else 128 in
+  let tail = Bytes.make tail_len '\x00' in
+  Bytes.blit_string msg (64 * full) tail 0 rest;
+  Bytes.set tail rest '\x80';
+  Bytes.set_int64_be tail (tail_len - 8) (Int64.of_int (len * 8));
+  let tail = Bytes.unsafe_to_string tail in
+  sha256_block h w tail 0;
+  if tail_len = 128 then sha256_block h w tail 64;
   let out = Bytes.create 32 in
   Array.iteri (fun i v -> store32_be out (4 * i) v) h;
   Bytes.to_string out

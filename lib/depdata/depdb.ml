@@ -61,14 +61,16 @@ let component_set t ~machine =
 
 let to_string t = Dependency.to_xml_many (records t)
 
-(* Canonical form: the wire lines in Dependency.compare order, so two
-   databases holding the same record set digest identically no matter
-   what order their sources submitted in. *)
-let digest t =
-  let lines =
-    records t |> List.sort Dependency.compare |> List.map Dependency.to_xml
-  in
-  Indaas_crypto.Digest.sha256_hex (String.concat "\n" lines)
+(* Canonical form: the distinct records' wire lines in
+   Dependency.compare order, so two record lists holding the same set
+   digest identically no matter what order (or how many times) their
+   sources submitted them. *)
+let canonical_digest records =
+  let sorted = List.sort_uniq Dependency.compare records in
+  ( Indaas_crypto.Digest.sha256_hex (Dependency.to_xml_many sorted),
+    List.length sorted )
+
+let digest t = fst (canonical_digest (records t))
 
 let of_string s =
   let t = create () in

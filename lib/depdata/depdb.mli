@@ -42,12 +42,18 @@ val component_set : t -> machine:string -> string list
 val to_string : t -> string
 (** Table 1 wire format, one record per line. *)
 
+val canonical_digest : Dependency.t list -> string * int
+(** The canonical content hash of a record list, and its number of
+    distinct records. The hash is lowercase SHA-256 hex over the
+    distinct records' wire-format lines ({!Dependency.to_xml}) in
+    {!Dependency.compare} order, joined by newlines: one sort, one
+    serialization into a single buffer and one SHA-256 pass. It is
+    invariant under order and duplicates and changes whenever the
+    record set changes. This is the only function that computes it. *)
+
 val digest : t -> string
-(** Deterministic content hash: lowercase SHA-256 hex over the
-    canonical serialization (wire-format lines in {!Dependency.compare}
-    order). Invariant under record insertion order; changes whenever
-    the record set changes. Snapshot versioning and audit result
-    caching key on it. *)
+(** [fst (canonical_digest (records t))]. Snapshot versioning and
+    audit result caching key on it. *)
 
 val of_string : string -> t
 (** Inverse of {!to_string}; tolerant of separators and prose between

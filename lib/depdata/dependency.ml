@@ -11,24 +11,65 @@ let network ~src ~dst ~route = Network { src; dst; route }
 let hardware ~hw ~hw_type ~dep = Hardware { hw; hw_type; dep }
 let software ~pgm ~host ~deps = Software { pgm; host; deps }
 
-let quote s =
-  (* The wire format does not support embedded quotes. *)
-  if String.contains s '"' then
+(* One record's wire line, appended to [buf]. The wire format does not
+   support embedded quotes, so every attribute value (each list
+   element, for routes and package lists) is checked before it is
+   written. The check is a plain loop: [String.contains] goes through
+   an exception per value and costs more than the writing. *)
+let rec has_quote s i n =
+  i < n && (String.unsafe_get s i = '"' || has_quote s (i + 1) n)
+
+let add_value buf s =
+  if has_quote s 0 (String.length s) then
     invalid_arg "Dependency: attribute value contains a quote";
-  "\"" ^ s ^ "\""
+  Buffer.add_string buf s
 
-let to_xml = function
+let add_attr buf key s =
+  Buffer.add_string buf key;
+  Buffer.add_char buf '"';
+  add_value buf s;
+  Buffer.add_char buf '"'
+
+let add_list_attr buf key l =
+  Buffer.add_string buf key;
+  Buffer.add_char buf '"';
+  List.iteri
+    (fun i s ->
+      if i > 0 then Buffer.add_char buf ',';
+      add_value buf s)
+    l;
+  Buffer.add_char buf '"'
+
+let add_xml buf = function
   | Network { src; dst; route } ->
-      Printf.sprintf "<src=%s dst=%s route=%s/>" (quote src) (quote dst)
-        (quote (String.concat "," route))
+      add_attr buf "<src=" src;
+      add_attr buf " dst=" dst;
+      add_list_attr buf " route=" route;
+      Buffer.add_string buf "/>"
   | Hardware { hw; hw_type; dep } ->
-      Printf.sprintf "<hw=%s type=%s dep=%s/>" (quote hw) (quote hw_type)
-        (quote dep)
+      add_attr buf "<hw=" hw;
+      add_attr buf " type=" hw_type;
+      add_attr buf " dep=" dep;
+      Buffer.add_string buf "/>"
   | Software { pgm; host; deps } ->
-      Printf.sprintf "<pgm=%s hw=%s dep=%s/>" (quote pgm) (quote host)
-        (quote (String.concat "," deps))
+      add_attr buf "<pgm=" pgm;
+      add_attr buf " hw=" host;
+      add_list_attr buf " dep=" deps;
+      Buffer.add_string buf "/>"
 
-let to_xml_many records = String.concat "\n" (List.map to_xml records)
+let to_xml r =
+  let buf = Buffer.create 64 in
+  add_xml buf r;
+  Buffer.contents buf
+
+let to_xml_many records =
+  let buf = Buffer.create (64 * List.length records) in
+  List.iteri
+    (fun i r ->
+      if i > 0 then Buffer.add_char buf '\n';
+      add_xml buf r)
+    records;
+  Buffer.contents buf
 
 (* --- parsing ------------------------------------------------------- *)
 
@@ -106,7 +147,44 @@ let of_xml_many doc =
   done;
   List.rev !records
 
-let compare = Stdlib.compare
+(* Monomorphic, but exactly [Stdlib.compare]'s order: constructors in
+   declaration order, then fields in declaration order, lists
+   lexicographically with [[]] first. Canonical digests and lint
+   diagnostics sort by it, so the order is part of their bytes. *)
+let rec compare_list l1 l2 =
+  match (l1, l2) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: l1, y :: l2 ->
+      let c = String.compare x y in
+      if c <> 0 then c else compare_list l1 l2
+
+let compare a b =
+  match (a, b) with
+  | Network x, Network y ->
+      let c = String.compare x.src y.src in
+      if c <> 0 then c
+      else
+        let c = String.compare x.dst y.dst in
+        if c <> 0 then c else compare_list x.route y.route
+  | Hardware x, Hardware y ->
+      let c = String.compare x.hw y.hw in
+      if c <> 0 then c
+      else
+        let c = String.compare x.hw_type y.hw_type in
+        if c <> 0 then c else String.compare x.dep y.dep
+  | Software x, Software y ->
+      let c = String.compare x.pgm y.pgm in
+      if c <> 0 then c
+      else
+        let c = String.compare x.host y.host in
+        if c <> 0 then c else compare_list x.deps y.deps
+  | Network _, _ -> -1
+  | _, Network _ -> 1
+  | Hardware _, _ -> -1
+  | _, Hardware _ -> 1
+
 let equal a b = compare a b = 0
 
 let pp fmt t = Format.pp_print_string fmt (to_xml t)

@@ -133,49 +133,64 @@ let unreachable =
 
 (* --- IND-G006: single points of failure ---------------------------------- *)
 
-(* Memoized recursive evaluation over the view with a visiting guard,
-   so even malformed (cyclic) views terminate. Empty gates never fire
-   (IND-G002 reports them); out-of-range k-of-n uses the natural
-   [count >= k] reading (IND-G001 reports it). *)
-let evaluate_with view ~failed_id =
+module IS = Set.Make (Int)
+
+(* One memoized DFS computes, per node, the set of reachable basic
+   events whose lone failure fires it: a basic event fires itself, OR
+   takes the union of its children's sets, AND their intersection,
+   k-of-n the basic events in at least k children's sets (every one
+   when k < 1), and an empty gate nothing (IND-G002 reports it;
+   IND-G001 reports out-of-range k). A node already on the DFS stack
+   contributes nothing, so cyclic views terminate. The traversal
+   visits every child in order and never short-circuits, so each node
+   is first reached, and memoized, with the same stack whichever basic
+   event failed: the sets are exactly what evaluating the graph once
+   per basic event would give. *)
+let single_points_of_failure view =
   let tbl = node_tbl view in
+  let seen = reachable_set view in
+  let basics =
+    List.filter
+      (fun n ->
+        match n.kind with
+        | Graph.Basic _ -> Hashtbl.mem seen n.id
+        | Graph.Gate _ -> false)
+      view.nodes
+  in
+  let all = IS.of_list (List.map (fun n -> n.id) basics) in
   let memo = Hashtbl.create 64 in
-  let rec eval visiting id =
+  let rec fires visiting id =
     match Hashtbl.find_opt memo id with
     | Some v -> v
     | None ->
-        if List.mem id visiting then false
+        if List.mem id visiting then IS.empty
         else
           let v =
             match Hashtbl.find_opt tbl id with
-            | None -> false
+            | None -> IS.empty
             | Some n -> (
                 match n.kind with
-                | Graph.Basic _ -> id = failed_id
-                | Graph.Gate _ when n.children = [] -> false
-                | Graph.Gate gate ->
-                    let vs = List.map (eval (id :: visiting)) n.children in
-                    let count = List.length (List.filter Fun.id vs) in
-                    (match gate with
-                    | Graph.And -> count = List.length vs
-                    | Graph.Or -> count >= 1
-                    | Graph.Kofn k -> count >= k))
+                | Graph.Basic _ -> IS.singleton id
+                | Graph.Gate _ when n.children = [] -> IS.empty
+                | Graph.Gate gate -> (
+                    let sets = List.map (fires (id :: visiting)) n.children in
+                    match gate with
+                    | Graph.Or -> List.fold_left IS.union IS.empty sets
+                    | Graph.And ->
+                        List.fold_left IS.inter (List.hd sets) (List.tl sets)
+                    | Graph.Kofn k ->
+                        IS.filter
+                          (fun b ->
+                            List.length (List.filter (IS.mem b) sets) >= k)
+                          all))
           in
           Hashtbl.replace memo id v;
           v
   in
-  eval [] view.top
-
-let single_points_of_failure view =
-  let seen = reachable_set view in
+  let top = fires [] view.top in
   List.filter_map
-    (fun n ->
-      match n.kind with
-      | Graph.Basic _
-        when Hashtbl.mem seen n.id && evaluate_with view ~failed_id:n.id ->
-          Some n.name
-      | _ -> None)
-    view.nodes
+    (fun n -> if IS.mem n.id top then Some n.name else None)
+    basics
   |> List.sort_uniq compare
 
 let spof =

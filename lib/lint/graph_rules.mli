@@ -16,8 +16,9 @@
     - [IND-G005] (warning) node unreachable from the top event.
     - [IND-G006] (warning) single point of failure: a basic event
       whose lone failure fires the top event — a size-1 risk group
-      detected by direct evaluation, without running the cut-set
-      algorithm.
+      found without running the cut-set algorithm, by one memoized
+      pass that computes, per node, the basic events whose lone
+      failure fires it.
     - [IND-G007] (error) fault-graph construction failure; emitted by
       {!Lint.construction_failure}, never by a view rule. *)
 

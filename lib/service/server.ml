@@ -1,7 +1,6 @@
 module Json = Indaas_util.Json
 module Prng = Indaas_util.Prng
 module Obs = Indaas_obs.Registry
-module Depdb = Indaas_depdata.Depdb
 module Dependency = Indaas_depdata.Dependency
 module Vclock = Indaas_resilience.Vclock
 module Builder = Indaas_sia.Builder
@@ -248,25 +247,17 @@ let submit_deps t params =
     | exception Failure msg -> bad "cannot parse records: %s" msg
   in
   let old = Snapshot.digest t.store ~snapshot in
-  let view = Snapshot.submit t.store ~snapshot ~source records in
+  let info = Snapshot.update t.store ~snapshot ~source records in
   let invalidated =
     match old with
-    | Some digest when digest <> view.Snapshot.digest ->
+    | Some digest when digest <> info.Snapshot.digest ->
         Cache.invalidate_snapshot t.cache ~digest
     | _ -> 0
   in
   Obs.incr "service.submissions";
   Json.Obj
-    [
-      ("snapshot", Json.String view.Snapshot.name);
-      ("version", Json.Int view.Snapshot.version);
-      ("digest", Json.String view.Snapshot.digest);
-      ("records", Json.Int (Depdb.size view.Snapshot.db));
-      ( "sources",
-        Json.Obj
-          (List.map (fun (s, n) -> (s, Json.Int n)) view.Snapshot.sources) );
-      ("invalidated", Json.Int invalidated);
-    ]
+    (Snapshot.info_fields ~snapshot info
+    @ [ ("invalidated", Json.Int invalidated) ])
 
 let audit t params =
   let p = audit_params t params in

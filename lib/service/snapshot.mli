@@ -6,16 +6,18 @@
     Re-submitting one source replaces only that source's records — a
     provider updates one collector's view without re-uploading the
     world. Every accepted submission bumps the snapshot's version and
-    recomputes its content digest ({!Indaas_depdata.Depdb.digest}),
-    which is what audit result caching keys on: a delta that does not
-    change the record set keeps the digest, so cached results stay
-    valid.
+    recomputes its content digest
+    ({!Indaas_depdata.Depdb.canonical_digest} of the sources' records),
+    which is what audit result caching keys on: a delta that does not change the record
+    set keeps the digest, so cached results stay valid.
 
     Cost model. The store keeps each source's record list plus, per
-    snapshot, the digest, union record count and per-source counts,
-    all computed once per accepted submission (one union build and
-    one digest). {!digest} and {!to_json} only read those stored
-    values. The union DepDB is not kept: {!get} rebuilds it on every
+    snapshot, an {!info}: version, digest, distinct record count and
+    per-source counts. {!update} computes it once per accepted
+    submission from the sources' record lists: one sort, one
+    serialization into a single buffer and one SHA-256 pass, with no
+    union DepDB built. {!digest} and {!to_json} only read stored
+    values. The union DepDB is not kept: {!get} builds it on every
     call, so the server calls it only when an audit misses the result
     cache. A cache hit therefore costs a map lookup, the spec digest,
     a cache lookup and response encoding. *)
@@ -25,34 +27,54 @@ module Dependency := Indaas_depdata.Dependency
 
 type store
 
+type info = {
+  version : int;  (** 1 on first submission, +1 per accepted delta *)
+  digest : string;  (** canonical content digest of the union *)
+  records : int;  (** distinct records in the union *)
+  sources : (string * int) list;
+      (** source name -> record count, sorted by name *)
+}
+(** What the store keeps per snapshot besides its record lists. *)
+
 type view = {
   name : string;
   version : int;  (** 1 on first submission, +1 per accepted delta *)
   digest : string;  (** canonical content digest of [db] *)
   db : Depdb.t;
-      (** union of all sources, merged in source-name order; rebuilt
-          by every {!get} *)
+      (** union of all sources, merged in source-name order; built by
+          every {!get} *)
   sources : (string * int) list;
       (** source name -> record count, sorted by name *)
 }
 
 val create : unit -> store
 
+val update :
+  store -> snapshot:string -> source:string -> Dependency.t list -> info
+(** Replace [source]'s records inside [snapshot] (creating either as
+    needed) and return the snapshot's new stored values. Submitting an
+    empty list drops the source. *)
+
 val submit :
   store -> snapshot:string -> source:string -> Dependency.t list -> view
-(** Replace [source]'s records inside [snapshot] (creating either as
-    needed) and return the new view. Submitting an empty list drops
-    the source. *)
+(** {!update} followed by {!get}: the same update, plus a union
+    build for the returned view. *)
 
 val digest : store -> snapshot:string -> string option
 (** The snapshot's stored content digest: a map lookup, no rebuild.
     [None] for an unknown snapshot. *)
 
 val get : store -> snapshot:string -> view option
-(** Rebuilds the union DepDB (but not the digest, which is stored). *)
+(** Builds the union DepDB (but not the digest, which is stored). *)
 
 val names : store -> string list
 (** Snapshot names, sorted. *)
+
+val info_fields :
+  snapshot:string -> info -> (string * Indaas_util.Json.t) list
+(** [snapshot], [version], [digest], [records] and [sources], in that
+    order: the body of a [submit-deps] response and of each
+    {!to_json} entry. *)
 
 val to_json : store -> Indaas_util.Json.t
 (** Per-snapshot version/digest/record-count/source summary (for the

@@ -156,14 +156,27 @@ let of_string s =
          | 'r' -> Buffer.add_char buf '\r'
          | 't' -> Buffer.add_char buf '\t'
          | 'u' ->
+             (* Exactly four hex digits: [int_of_string] would also
+                take OCaml's [_] digit separators. *)
              let hex_escape () =
                if !pos + 4 > len then
                  parse_error "Json.of_string: truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               pos := !pos + 4;
-               match int_of_string_opt ("0x" ^ hex) with
-               | Some c -> c
-               | None -> parse_error "Json.of_string: bad \\u escape %S" hex
+               let start = !pos in
+               let code = ref 0 in
+               for i = start to start + 3 do
+                 let digit =
+                   match s.[i] with
+                   | '0' .. '9' as c -> Char.code c - Char.code '0'
+                   | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                   | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                   | _ ->
+                       parse_error "Json.of_string: bad \\u escape %S at %d"
+                         (String.sub s start 4) start
+                 in
+                 code := (!code lsl 4) lor digit
+               done;
+               pos := start + 4;
+               !code
              in
              let code = hex_escape () in
              (* UTF-16 surrogate pairs encode one astral-plane code
@@ -192,6 +205,10 @@ let of_string s =
          | e -> parse_error "Json.of_string: bad escape \\%c" e);
         loop ()
       end
+      else if c < ' ' then
+        parse_error
+          "Json.of_string: unescaped control character U+%04X in string at %d"
+          (Char.code c) (!pos - 1)
       else begin
         Buffer.add_char buf c;
         loop ()

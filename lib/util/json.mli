@@ -32,10 +32,11 @@ exception Parse_error of string
 
 val of_string : string -> t
 (** Parses one JSON document. Numbers without [.]/[e] parse as {!Int},
-    all others as {!Float}; [\u] escapes decode to UTF-8, pairing
-    UTF-16 surrogates into a single astral-plane code point and
-    rejecting lone surrogates. Raises {!Parse_error} on malformed
-    input or trailing garbage. *)
+    all others as {!Float}; [\u] escapes take exactly four hex digits
+    and decode to UTF-8, pairing UTF-16 surrogates into a single
+    astral-plane code point and rejecting lone surrogates. Raw
+    U+0000–U+001F inside a string is rejected, as RFC 8259 requires.
+    Raises {!Parse_error} on malformed input or trailing garbage. *)
 
 val member : string -> t -> t option
 (** [member key json] is the field [key] of an {!Obj}, [None] when

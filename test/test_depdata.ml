@@ -95,10 +95,16 @@ let test_subject_components () =
     (Dependency.components (Dependency.hardware ~hw:"H" ~hw_type:"T" ~dep:"model"))
 
 let test_quote_rejected () =
-  Alcotest.check_raises "embedded quote"
-    (Invalid_argument "Dependency: attribute value contains a quote") (fun () ->
-      ignore
-        (Dependency.to_xml (Dependency.hardware ~hw:"a\"b" ~hw_type:"T" ~dep:"d")))
+  let rejected name r =
+    Alcotest.check_raises name
+      (Invalid_argument "Dependency: attribute value contains a quote")
+      (fun () -> ignore (Dependency.to_xml r))
+  in
+  rejected "embedded quote"
+    (Dependency.hardware ~hw:"a\"b" ~hw_type:"T" ~dep:"d");
+  rejected "in a route device"
+    (Dependency.network ~src:"S" ~dst:"I" ~route:[ "t"; "c\"" ]);
+  rejected "in a package" (Dependency.software ~pgm:"p" ~host:"h" ~deps:[ "\"" ])
 
 (* --- DepDB ------------------------------------------------------------ *)
 
@@ -374,6 +380,63 @@ let prop_many_roundtrip =
     (QCheck.list_of_size (QCheck.Gen.int_range 0 10) gen_record) (fun rs ->
       Dependency.of_xml_many (Dependency.to_xml_many rs) = rs)
 
+(* Records over a tiny alphabet, so fields often tie and the order has
+   to look past them: shared prefixes, the empty string, and empty
+   routes and package lists. *)
+let gen_small_record =
+  QCheck.Gen.(
+    let word = oneofl [ ""; "a"; "ab"; "abc"; "b"; "ba" ] in
+    let words = list_size (int_range 0 3) word in
+    oneof
+      [
+        map3 (fun src dst route -> Dependency.network ~src ~dst ~route)
+          word word words;
+        map3 (fun hw hw_type dep -> Dependency.hardware ~hw ~hw_type ~dep)
+          word word word;
+        map3 (fun pgm host deps -> Dependency.software ~pgm ~host ~deps)
+          word word words;
+      ])
+
+let print_records rs = String.concat " " (List.map Dependency.to_xml rs)
+
+let prop_compare_is_stdlib_order =
+  QCheck.Test.make ~name:"Dependency.compare has Stdlib.compare's sign"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (a, b) -> print_records [ a; b ])
+       QCheck.Gen.(pair gen_small_record gen_small_record))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign (Dependency.compare a b) = sign (Stdlib.compare a b)
+      && Dependency.compare a a = 0)
+
+(* The canonical digest as first defined: Printf wire lines of the
+   Stdlib-sorted distinct records, joined by newlines. *)
+let printf_line = function
+  | Dependency.Network { src; dst; route } ->
+      Printf.sprintf "<src=\"%s\" dst=\"%s\" route=\"%s\"/>" src dst
+        (String.concat "," route)
+  | Dependency.Hardware { hw; hw_type; dep } ->
+      Printf.sprintf "<hw=\"%s\" type=\"%s\" dep=\"%s\"/>" hw hw_type dep
+  | Dependency.Software { pgm; host; deps } ->
+      Printf.sprintf "<pgm=\"%s\" hw=\"%s\" dep=\"%s\"/>" pgm host
+        (String.concat "," deps)
+
+let prop_digest_matches_definition =
+  QCheck.Test.make ~name:"Depdb.digest equals the Printf definition" ~count:500
+    (QCheck.make ~print:print_records
+       QCheck.Gen.(list_size (int_range 0 20) gen_small_record))
+    (fun records ->
+      let distinct = List.sort_uniq Stdlib.compare records in
+      let expected =
+        Indaas_crypto.Digest.sha256_hex
+          (String.concat "\n" (List.map printf_line distinct))
+      in
+      let db = Depdb.create () in
+      Depdb.add_all db records;
+      Depdb.digest db = expected
+      && Depdb.canonical_digest records = (expected, List.length distinct))
+
 
 (* --- Failure statistics (§5.1) -------------------------------------- *)
 
@@ -539,6 +602,8 @@ let () =
           Alcotest.test_case "quote rejected" `Quick test_quote_rejected;
           qtest prop_xml_roundtrip;
           qtest prop_many_roundtrip;
+          qtest prop_compare_is_stdlib_order;
+          qtest prop_digest_matches_definition;
         ] );
       ( "depdb",
         [

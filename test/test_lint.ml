@@ -398,6 +398,149 @@ let prop_lint_is_deterministic =
       let b = Lint.lint_db db in
       List.equal D.equal a b && List.length (List.sort_uniq D.compare a) = List.length a)
 
+(* --- IND-G006 against per-basic-event evaluation ------------------------ *)
+
+(* The definition IND-G006 implements: re-evaluate the whole view once
+   per reachable basic event, with that event alone failed. Memoized
+   with a visiting guard so cyclic views terminate; empty gates never
+   fire and out-of-range k-of-n uses the [count >= k] reading. *)
+let evaluate_with (view : Graph_rules.view) ~failed_id =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace tbl n.Graph_rules.id n) view.nodes;
+  let memo = Hashtbl.create 64 in
+  let rec eval visiting id =
+    match Hashtbl.find_opt memo id with
+    | Some v -> v
+    | None ->
+        if List.mem id visiting then false
+        else
+          let v =
+            match Hashtbl.find_opt tbl id with
+            | None -> false
+            | Some n -> (
+                match n.Graph_rules.kind with
+                | Graph.Basic _ -> id = failed_id
+                | Graph.Gate _ when n.children = [] -> false
+                | Graph.Gate gate ->
+                    let vs = List.map (eval (id :: visiting)) n.children in
+                    let count = List.length (List.filter Fun.id vs) in
+                    (match gate with
+                    | Graph.And -> count = List.length vs
+                    | Graph.Or -> count >= 1
+                    | Graph.Kofn k -> count >= k))
+          in
+          Hashtbl.replace memo id v;
+          v
+  in
+  eval [] view.top
+
+let spof_oracle (view : Graph_rules.view) =
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun n -> Hashtbl.replace tbl n.Graph_rules.id n) view.nodes;
+  let seen = Hashtbl.create 16 in
+  let rec mark id =
+    if not (Hashtbl.mem seen id) then begin
+      Hashtbl.add seen id ();
+      Option.iter
+        (fun n -> List.iter mark n.Graph_rules.children)
+        (Hashtbl.find_opt tbl id)
+    end
+  in
+  mark view.top;
+  List.filter_map
+    (fun n ->
+      match n.Graph_rules.kind with
+      | Graph.Basic _
+        when Hashtbl.mem seen n.id && evaluate_with view ~failed_id:n.id ->
+          Some n.name
+      | _ -> None)
+    view.nodes
+  |> List.sort_uniq compare
+
+(* The names IND-G006 reports through the rule table, sorted. *)
+let spof_findings view =
+  Lint.run [ Lint.Graph_view view ]
+  |> List.filter_map (fun d ->
+         match (d.D.code, d.D.location) with
+         | "IND-G006", (D.Node { name; _ } | D.Machine name) -> Some name
+         | _ -> None)
+  |> List.sort compare
+
+let spof_agrees view =
+  let expected = spof_oracle view in
+  Graph_rules.single_points_of_failure view = expected
+  && spof_findings view = expected
+
+let print_view (view : Graph_rules.view) =
+  Printf.sprintf "top=%d %s" view.top
+    (String.concat "; "
+       (List.map
+          (fun n ->
+            let kind =
+              match n.Graph_rules.kind with
+              | Graph.Basic _ -> "basic"
+              | Graph.Gate Graph.And -> "and"
+              | Graph.Gate Graph.Or -> "or"
+              | Graph.Gate (Graph.Kofn k) -> Printf.sprintf "%d-of" k
+            in
+            Printf.sprintf "%d:%s %s[%s]" n.id n.name kind
+              (String.concat "," (List.map string_of_int n.children)))
+          view.nodes))
+
+(* Random views, malformed on purpose: children may point anywhere
+   (back edges make cycles, id [n] dangles), gates may be empty, k may
+   be out of range, names collide, and one id may appear twice. *)
+let gen_view =
+  QCheck.make ~print:print_view
+    QCheck.Gen.(
+      int_range 1 10 >>= fun n ->
+      let kind =
+        frequency
+          [
+            (3, return (Graph.Basic None));
+            (2, return (Graph.Gate Graph.Or));
+            (2, return (Graph.Gate Graph.And));
+            (2, map (fun k -> Graph.Gate (Graph.Kofn k)) (int_range (-1) 4));
+          ]
+      in
+      let node id =
+        map2
+          (fun kind children ->
+            let children =
+              match kind with Graph.Basic _ -> [] | Graph.Gate _ -> children
+            in
+            { Graph_rules.id; name = Printf.sprintf "x%d" (id mod 7); kind;
+              children })
+          kind
+          (list_size (int_bound 4) (int_bound n))
+      in
+      let ids = List.init n Fun.id in
+      map3
+        (fun nodes extra top -> { Graph_rules.nodes = nodes @ extra; top })
+        (flatten_l (List.map node ids))
+        (opt (int_bound (n - 1) >>= node) >|= Option.to_list)
+        (int_bound n))
+
+let prop_spof_matches_oracle_views =
+  QCheck.Test.make ~name:"IND-G006 equals per-event evaluation on random views"
+    ~count:1000 gen_view spof_agrees
+
+let prop_spof_matches_oracle_builder =
+  QCheck.Test.make
+    ~name:"IND-G006 equals per-event evaluation on builder graphs" ~count:300
+    gen_db (fun records ->
+      let db = Depdb.create () in
+      Depdb.add_all db records;
+      let machines = Depdb.machines db in
+      List.for_all
+        (fun required ->
+          match
+            Sia_builder.build db (Sia_builder.spec ~required machines)
+          with
+          | g -> spof_agrees (Graph_rules.of_graph g)
+          | exception Invalid_argument _ -> true)
+        (List.init (List.length machines) succ))
+
 let () =
   Alcotest.run "lint"
     [
@@ -442,5 +585,7 @@ let () =
           qtest prop_diagnostic_roundtrip;
           qtest prop_clean_db_builds;
           qtest prop_lint_is_deterministic;
+          qtest prop_spof_matches_oracle_views;
+          qtest prop_spof_matches_oracle_builder;
         ] );
     ]

@@ -352,6 +352,35 @@ let test_json_truncation_messages () =
   check Alcotest.string "unclosed list"
     "Json.of_string: expected ']' at 2, got end of input" (error "[1")
 
+(* RFC 8259 §7: a \u escape is exactly four hex digits, and U+0000 to
+   U+001F must be escaped inside strings. *)
+let test_json_strict_strings () =
+  let error input =
+    match Json.of_string input with
+    | exception Json.Parse_error msg -> msg
+    | _ -> Alcotest.failf "%S parsed" input
+  in
+  check Alcotest.string "digit separator in \\u"
+    {|Json.of_string: bad \u escape "0_41" at 3|} (error {|"\u0_41"|});
+  check Alcotest.string "sign in \\u"
+    {|Json.of_string: bad \u escape "+041" at 4|} (error {|["\u+041"]|});
+  check Alcotest.string "space in \\u"
+    {|Json.of_string: bad \u escape " 041" at 3|} (error {|"\u 041"|});
+  check Alcotest.string "raw newline"
+    "Json.of_string: unescaped control character U+000A in string at 2"
+    (error "\"a\nb\"");
+  check Alcotest.string "raw NUL in a key"
+    "Json.of_string: unescaped control character U+0000 in string at 3"
+    (error "{\"k\000\": 1}");
+  check Alcotest.string "raw U+001F"
+    "Json.of_string: unescaped control character U+001F in string at 1"
+    (error "\"\031\"");
+  check Alcotest.string "DEL needs no escape" "a\127b"
+    (parsed_string "\"a\127b\"");
+  let controls = String.init 32 Char.chr in
+  check Alcotest.string "escaped controls round-trip" controls
+    (parsed_string (Json.to_string (Json.String controls)))
+
 (* --- qcheck properties --------------------------------------------- *)
 
 let prop_int_in_range =
@@ -435,6 +464,7 @@ let () =
             test_json_lone_surrogates_rejected;
           Alcotest.test_case "truncation messages" `Quick
             test_json_truncation_messages;
+          Alcotest.test_case "strict strings" `Quick test_json_strict_strings;
         ] );
       ( "timing",
         [
