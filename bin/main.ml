@@ -18,7 +18,9 @@ module Agent = Indaas.Agent
 module Chaos = Indaas.Chaos
 module Fault = Indaas_resilience.Fault
 module Degradation = Indaas_resilience.Degradation
+module Cutset = Indaas_faultgraph.Cutset
 module Sia_audit = Indaas_sia.Audit
+module Params = Indaas_sia.Params
 module Sia_report = Indaas_sia.Report
 module Builder = Indaas_sia.Builder
 module Pia_audit = Indaas_pia.Audit
@@ -67,24 +69,39 @@ let servers_arg =
     & info [ "servers" ] ~docv:"S1,S2,..."
         ~doc:"Servers of the redundancy deployment to audit.")
 
+(* The audit-parameter flags. [sia] and [compare] fill an absent flag
+   from [Params.default]; [client] sends only stated flags, and the
+   daemon fills the rest from the same defaults. *)
+let algorithm_info =
+  Arg.info [ "algorithm" ] ~docv:"ALG"
+    ~doc:"Risk-group algorithm: $(b,minimal) (exact) or $(b,sampling)."
+
+let engine_info =
+  Arg.info [ "engine" ] ~docv:"ENGINE"
+    ~doc:
+      "Exact minimal-RG engine: $(b,enum) (bottom-up enumeration with \
+       absorption), $(b,bdd) (symbolic BDD minimal-solutions pass, no \
+       family budget), or $(b,auto) (enumeration, falling back to BDD \
+       when the cut-set budget trips). All three return identical \
+       families. Ignored with --algorithm sampling."
+
+let rounds_info =
+  Arg.info [ "rounds" ] ~docv:"N"
+    ~doc:"Sampling rounds (with --algorithm sampling)."
+
+let required_info =
+  Arg.info [ "required" ] ~docv:"N"
+    ~doc:"Replicas that must stay alive (n-of-m redundancy)."
+
 let algorithm_arg =
-  Arg.(
-    value
-    & opt (enum [ ("minimal", `Minimal); ("sampling", `Sampling) ]) `Minimal
-    & info [ "algorithm" ] ~docv:"ALG"
-        ~doc:"Risk-group algorithm: $(b,minimal) (exact) or $(b,sampling).")
+  Arg.(value & opt (enum Params.algorithms) Params.default.algorithm
+       & algorithm_info)
 
 let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("enum", `Enum); ("bdd", `Bdd); ("auto", `Auto) ]) `Auto
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Exact minimal-RG engine: $(b,enum) (bottom-up enumeration with \
-           absorption), $(b,bdd) (symbolic BDD minimal-solutions pass, no \
-           family budget), or $(b,auto) (enumeration, falling back to BDD \
-           when the cut-set budget trips). All three return identical \
-           families. Ignored with --algorithm sampling.")
+  Arg.(value & opt (enum Params.engines) Params.default.engine & engine_info)
+
+let rounds_arg = Arg.(value & opt int Params.default.rounds & rounds_info)
+let required_arg = Arg.(value & opt int Params.default.required & required_info)
 
 let max_family_arg =
   Arg.(
@@ -92,18 +109,19 @@ let max_family_arg =
     & opt (some int) None
     & info [ "max-family" ] ~docv:"N"
         ~doc:
-          "Cut-set budget of the $(b,enum) engine: abort (or, under \
-           $(b,--engine auto), switch to the BDD engine) when a minimized \
-           intermediate family exceeds $(docv) sets (default 500000).")
+          (Printf.sprintf
+             "Cut-set budget of the $(b,enum) engine: abort (or, under \
+              $(b,--engine auto), switch to the BDD engine) when a \
+              minimized intermediate family exceeds $(docv) sets (default \
+              %d)."
+             Cutset.default_max_family))
 
 (* Budget overruns of the enumeration engine surface as a clean error
    instead of an uncaught Too_many_cut_sets crash. *)
 let with_budget_errors ?max_family f =
   try f ()
-  with Indaas_faultgraph.Cutset.Too_many_cut_sets n ->
-    let budget =
-      match max_family with Some b -> b | None -> 500_000
-    in
+  with Cutset.Too_many_cut_sets n ->
+    let budget = Option.value max_family ~default:Cutset.default_max_family in
     Printf.eprintf
       "indaas: minimal-RG enumeration aborted: a minimized cut-set \
        family reached %d sets, over the --max-family budget of %d.\n\
@@ -111,11 +129,6 @@ let with_budget_errors ?max_family f =
        --max-family.\n"
       n budget;
     exit 3
-
-let rounds_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "rounds" ] ~docv:"N" ~doc:"Sampling rounds (with --algorithm sampling).")
 
 let prob_arg =
   Arg.(
@@ -126,14 +139,21 @@ let prob_arg =
           "Uniform component failure probability; enables probability-based \
            ranking.")
 
-let required_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "required" ] ~docv:"N"
-        ~doc:"Replicas that must stay alive (n-of-m redundancy).")
-
 let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+  Arg.(
+    value
+    & opt int Params.default.seed
+    & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
+
+(* The audit specification shared by [sia] and [compare]. *)
+let params_arg servers =
+  let make servers required algorithm engine max_family rounds prob seed =
+    { Params.servers; required; engine; max_family; algorithm; rounds; prob;
+      seed }
+  in
+  Term.(
+    const make $ servers $ required_arg $ algorithm_arg $ engine_arg
+    $ max_family_arg $ rounds_arg $ prob_arg $ seed_arg)
 
 (* --- observability ----------------------------------------------------- *)
 
@@ -190,24 +210,6 @@ let no_collector_spans ~disable () =
   && (not (List.mem "IND-O001" disable))
   && Obs_export.span_count ~name:"collect" (Obs.current ()) = 0
   && Obs_export.span_count ~name:"collect.source" (Obs.current ()) = 0
-
-let make_request servers required algorithm engine max_family rounds prob =
-  let algorithm =
-    match algorithm with
-    | `Minimal -> (
-        match engine with
-        | `Enum -> Sia_audit.Minimal_rg { max_size = None; max_family }
-        | `Bdd -> Sia_audit.Minimal_rg_bdd { max_size = None }
-        | `Auto -> Sia_audit.Auto_rg { max_size = None; max_family })
-    | `Sampling -> Sia_audit.failure_sampling ~rounds
-  in
-  let component_probability = Option.map Builder.uniform_probability prob in
-  let ranking =
-    match prob with
-    | Some _ -> Sia_audit.Probability_based
-    | None -> Sia_audit.Size_based
-  in
-  Sia_audit.request ~required ?component_probability ~algorithm ~ranking servers
 
 (* --- indaas lint ------------------------------------------------------- *)
 
@@ -367,8 +369,8 @@ let print_digest_arg =
            snapshots and keys result caching in $(b,indaas serve).")
 
 let sia_cmd =
-  let run db servers required algorithm engine max_family rounds prob json seed
-      strict disable faults trace metrics print_digest =
+  let run db (p : Params.t) json strict disable faults trace metrics
+      print_digest =
     let disable = List.concat disable in
     if print_digest then begin
       print_endline (Depdb.digest (load_db db));
@@ -380,9 +382,9 @@ let sia_cmd =
     let injector =
       match parse_fault_entries faults with
       | [] -> None
-      | entries -> Some (Fault.injector ~seed (Fault.plan entries))
+      | entries -> Some (Fault.injector ~seed:p.seed (Fault.plan entries))
     in
-    enable_obs ?injector ~trace ~metrics ~seed ();
+    enable_obs ?injector ~trace ~metrics ~seed:p.seed ();
     let report, degradation, degraded =
       Obs.with_span "sia.audit" @@ fun () ->
       let db, degradation =
@@ -396,7 +398,7 @@ let sia_cmd =
             in
             let db, deg =
               Agent.collect_resilient ~faults:injector
-                ~rng:(Indaas_util.Prng.of_int seed)
+                ~rng:(Indaas_util.Prng.of_int p.seed)
                 [ source ]
             in
             (db, Some deg)
@@ -410,13 +412,10 @@ let sia_cmd =
         exit 1
       end;
       enforce_strict ~strict ~disable db;
-      let rng = Indaas_util.Prng.of_int seed in
-      let request =
-        make_request servers required algorithm engine max_family rounds prob
-      in
       let report =
-        with_budget_errors ?max_family (fun () ->
-            Sia_audit.audit ~rng db request)
+        with_budget_errors ?max_family:p.max_family (fun () ->
+            Sia_audit.audit ~rng:(Indaas_util.Prng.of_int p.seed) db
+              (Params.request p))
       in
       let report =
         match degradation with
@@ -474,10 +473,8 @@ let sia_cmd =
   in
   let term =
     Term.(
-      const run $ db_arg $ servers_arg $ required_arg $ algorithm_arg
-      $ engine_arg $ max_family_arg $ rounds_arg $ prob_arg $ json_arg
-      $ seed_arg $ strict_arg $ disable_arg $ fault_arg $ trace_arg
-      $ metrics_arg $ print_digest_arg)
+      const run $ db_arg $ params_arg servers_arg $ json_arg $ strict_arg
+      $ disable_arg $ fault_arg $ trace_arg $ metrics_arg $ print_digest_arg)
   in
   Cmd.v
     (Cmd.info "sia" ~doc:"Structural independence audit of one deployment.")
@@ -542,19 +539,15 @@ let chaos_cmd =
 (* --- indaas compare ------------------------------------------------------ *)
 
 let compare_cmd =
-  let run db candidates required algorithm engine max_family rounds prob json
-      seed trace metrics =
-    enable_obs ~trace ~metrics ~seed ();
+  let run db candidates (p : Params.t) json trace metrics =
+    enable_obs ~trace ~metrics ~seed:p.seed ();
     let reports =
       Obs.with_span "sia.compare" @@ fun () ->
       let db = Obs.with_span "collect" (fun () -> load_db db) in
-      let rng = Indaas_util.Prng.of_int seed in
-      let request =
-        make_request [] required algorithm engine max_family rounds prob
-      in
       let candidates = List.map (String.split_on_char ',') candidates in
-      with_budget_errors ?max_family (fun () ->
-          Sia_audit.audit_candidates ~rng db ~candidates request)
+      with_budget_errors ?max_family:p.max_family (fun () ->
+          Sia_audit.audit_candidates ~rng:(Indaas_util.Prng.of_int p.seed) db
+            ~candidates (Params.request p))
     in
     if json then
       print_endline
@@ -572,9 +565,9 @@ let compare_cmd =
   in
   let term =
     Term.(
-      const run $ db_arg $ candidates_arg $ required_arg $ algorithm_arg
-      $ engine_arg $ max_family_arg $ rounds_arg $ prob_arg $ json_arg
-      $ seed_arg $ trace_arg $ metrics_arg)
+      const run $ db_arg $ candidates_arg
+      $ params_arg (Term.const [])
+      $ json_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "compare" ~doc:"Rank candidate deployments by independence.")
@@ -758,7 +751,11 @@ let dot_cmd =
       highlight_rg =
     let db = load_db db in
     enforce_strict ~strict ~disable:(List.concat disable) db;
-    let graph = Builder.build db (Builder.spec ~required servers) in
+    let request =
+      Params.request
+        { Params.default with servers; required; engine; max_family }
+    in
+    let graph = Builder.build db request.Sia_audit.spec in
     let highlight =
       match highlight_rg with
       | None -> None
@@ -769,17 +766,7 @@ let dot_cmd =
           end;
           let rgs =
             with_budget_errors ?max_family (fun () ->
-                match engine with
-                | `Bdd -> Indaas_faultgraph.Bdd.minimal_risk_groups graph
-                | `Enum ->
-                    Indaas_faultgraph.Cutset.minimal_risk_groups ?max_family
-                      graph
-                | `Auto -> (
-                    try
-                      Indaas_faultgraph.Cutset.minimal_risk_groups ?max_family
-                        graph
-                    with Indaas_faultgraph.Cutset.Too_many_cut_sets _ ->
-                      Indaas_faultgraph.Bdd.minimal_risk_groups graph))
+                Sia_audit.risk_groups request.Sia_audit.algorithm graph)
           in
           if rank > List.length rgs then begin
             Printf.eprintf
@@ -1223,41 +1210,8 @@ let client_cmd =
       & info [ "servers" ] ~docv:"S1,S2,..."
           ~doc:"Servers of the deployment for --audit / --rg-query.")
   in
-  let required_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "required" ] ~docv:"N"
-          ~doc:"Replicas that must stay alive (server default: 1).")
-  in
-  let engine_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Minimal-RG engine: $(b,enum), $(b,bdd) or $(b,auto).")
-  in
-  let max_family_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-family" ] ~docv:"N"
-          ~doc:"Cut-set budget of the enumeration engine.")
-  in
-  let algorithm_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "algorithm" ] ~docv:"ALG"
-          ~doc:"$(b,minimal) or $(b,sampling) (server default: minimal).")
-  in
-  let rounds_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "rounds" ] ~docv:"N"
-          ~doc:"Sampling rounds (with --algorithm sampling).")
-  in
+  (* A shared audit flag, left off the wire when absent. *)
+  let stated c i = Arg.(value & opt (some c) None & i) in
   let seed_arg =
     Arg.(
       value
@@ -1293,15 +1247,20 @@ let client_cmd =
   let term =
     Term.(
       const run $ decode_arg $ only_arg $ snapshot_arg $ submit_arg
-      $ audit_arg $ rg_query_arg $ compare_arg $ servers_arg $ required_arg
-      $ engine_arg $ max_family_arg $ algorithm_arg $ rounds_arg $ prob_arg
-      $ seed_arg $ deadline_arg $ repeat_arg $ stats_arg $ shutdown_arg)
+      $ audit_arg $ rg_query_arg $ compare_arg $ servers_arg
+      $ stated Arg.int required_info
+      $ stated Arg.(enum Params.engines) engine_info
+      $ max_family_arg
+      $ stated Arg.(enum Params.algorithms) algorithm_info
+      $ stated Arg.int rounds_info $ prob_arg $ seed_arg $ deadline_arg
+      $ repeat_arg $ stats_arg $ shutdown_arg)
   in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Encode protocol-v1 request frames for $(b,indaas serve) (or decode \
-          its response frames with --decode).")
+          its response frames with --decode). Audit flags left out are left \
+          off the wire; the daemon's defaults equal $(b,indaas sia)'s.")
     term
 
 let () =

@@ -158,7 +158,10 @@ let iter_ksubsets k xs f =
   in
   if k >= 0 && k <= n then go 0 0
 
-let minimal_risk_groups ?(max_size = max_int) ?(max_family = 500_000) g =
+let default_max_family = 500_000
+
+let minimal_risk_groups ?(max_size = max_int) ?(max_family = default_max_family)
+    g =
   Obs.with_span "rg.enum" @@ fun () ->
   let probes0 = !subset_probes and absorbed0 = !absorbed_sets in
   let width = Graph.node_count g in

@@ -24,6 +24,9 @@ exception Too_many_cut_sets of int
     — the signal to fall back to {!Bdd.minimal_risk_groups} or
     {!Sampling}. *)
 
+val default_max_family : int
+(** The family budget when none is given: 500 000 minimized sets. *)
+
 val minimal_risk_groups :
   ?max_size:int -> ?max_family:int -> Graph.t -> rg list
 (** All minimal RGs of the top event, in {!sort_family} order.
@@ -33,8 +36,8 @@ val minimal_risk_groups :
     bound; unbounded by default).
     @param max_family abort with {!Too_many_cut_sets} when any event's
     family {e after absorption} exceeds this many sets (default
-    500_000). Raw concatenations and cross-products that minimize back
-    under the budget do not abort. *)
+    {!default_max_family}). Raw concatenations and cross-products
+    that minimize back under the budget do not abort. *)
 
 val compare_rg : rg -> rg -> int
 (** Canonical risk-group order: smaller sets first, then

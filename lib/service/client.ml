@@ -1,4 +1,5 @@
 module Json = Indaas_util.Json
+module Params = Indaas_sia.Params
 
 let request ~id ~meth params =
   {
@@ -19,9 +20,9 @@ let submit_deps ~id ?(snapshot = "default") ~source ~records () =
 type audit_options = {
   snapshot : string option;
   required : int option;
-  engine : string option;
+  engine : Params.engine option;
   max_family : int option;
-  algorithm : string option;
+  algorithm : Params.algorithm option;
   rounds : int option;
   prob : float option;
   seed : int option;
@@ -49,32 +50,30 @@ let option_params o =
   in
   field "snapshot" o.snapshot (fun s -> Json.String s)
   @ field "required" o.required (fun i -> Json.Int i)
-  @ field "engine" o.engine (fun s -> Json.String s)
+  @ field "engine" o.engine (fun e ->
+        Json.String (Params.name Params.engines e))
   @ field "max-family" o.max_family (fun i -> Json.Int i)
-  @ field "algorithm" o.algorithm (fun s -> Json.String s)
+  @ field "algorithm" o.algorithm (fun a ->
+        Json.String (Params.name Params.algorithms a))
   @ field "rounds" o.rounds (fun i -> Json.Int i)
   @ field "prob" o.prob (fun f -> Json.Float f)
   @ field "seed" o.seed (fun i -> Json.Int i)
   @ field "deadline" o.deadline (fun f -> Json.Float f)
 
+let strings l = Json.List (List.map (fun s -> Json.String s) l)
+
 let audit ~id ?(options = audit_options) ~servers () =
   request ~id ~meth:"audit"
-    (("servers", Json.List (List.map (fun s -> Json.String s) servers))
-    :: option_params options)
+    (("servers", strings servers) :: option_params options)
 
 let compare_deployments ~id ?(options = audit_options) ~candidates () =
   request ~id ~meth:"compare"
-    (( "candidates",
-       Json.List
-         (List.map
-            (fun c -> Json.List (List.map (fun s -> Json.String s) c))
-            candidates) )
+    (("candidates", Json.List (List.map strings candidates))
     :: option_params options)
 
 let rg_query ~id ?(options = audit_options) ~servers () =
   request ~id ~meth:"rg-query"
-    (("servers", Json.List (List.map (fun s -> Json.String s) servers))
-    :: option_params options)
+    (("servers", strings servers) :: option_params options)
 
 let stats ~id = request ~id ~meth:"stats" []
 let shutdown ~id = request ~id ~meth:"shutdown" []

@@ -19,9 +19,9 @@ val submit_deps :
 type audit_options = {
   snapshot : string option;
   required : int option;
-  engine : string option;
+  engine : Indaas_sia.Params.engine option;
   max_family : int option;
-  algorithm : string option;
+  algorithm : Indaas_sia.Params.algorithm option;
   rounds : int option;
   prob : float option;
   seed : int option;
@@ -29,7 +29,8 @@ type audit_options = {
 }
 
 val audit_options : audit_options
-(** All [None]: the server's defaults. *)
+(** All [None]: the server's defaults ({!Indaas_sia.Params.default}).
+    Only [Some] fields travel on the wire. *)
 
 val audit :
   id:int -> ?options:audit_options -> servers:string list -> unit ->

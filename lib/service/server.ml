@@ -7,7 +7,7 @@ module Builder = Indaas_sia.Builder
 module Sia_audit = Indaas_sia.Audit
 module Sia_report = Indaas_sia.Report
 module Cutset = Indaas_faultgraph.Cutset
-module Bdd = Indaas_faultgraph.Bdd
+module Params = Indaas_sia.Params
 
 type config = {
   seed : int;
@@ -17,7 +17,8 @@ type config = {
 }
 
 let default_config =
-  { seed = 42; max_queue = 64; default_deadline = None; cache_capacity = 1024 }
+  { seed = Params.default.seed; max_queue = 64; default_deadline = None;
+    cache_capacity = 1024 }
 
 type t = {
   config : config;
@@ -63,17 +64,14 @@ let str_param ?default name params =
       | Some d -> d
       | None -> bad "missing parameter %S" name)
 
-let int_param ~default name params =
-  match Json.member name params with
-  | Some (Json.Int i) -> i
-  | Some _ -> bad "parameter %S must be an integer" name
-  | None -> default
-
 let int_opt_param name params =
   match Json.member name params with
   | Some (Json.Int i) -> Some i
   | Some _ -> bad "parameter %S must be an integer" name
   | None -> None
+
+let int_param ~default name params =
+  Option.value (int_opt_param name params) ~default
 
 let float_opt_param name params =
   match Json.member name params with
@@ -82,121 +80,50 @@ let float_opt_param name params =
   | Some _ -> bad "parameter %S must be a number" name
   | None -> None
 
-let string_list_param name params =
-  match Json.member name params with
-  | Some (Json.List items) ->
-      Some
-        (List.map
-           (function
-             | Json.String s -> s
-             | _ -> bad "parameter %S must be a list of strings" name)
-           items)
-  | Some _ -> bad "parameter %S must be a list of strings" name
-  | None -> None
+(* Parameter [name]'s list of strings; any other shape is refused as
+   not [what]. *)
+let strings ~name ~what json =
+  let malformed () = bad "parameter %S must be %s" name what in
+  match json with
+  | Json.List items ->
+      List.map (function Json.String s -> s | _ -> malformed ()) items
+  | _ -> malformed ()
 
-let engine_param params =
-  match str_param ~default:"auto" "engine" params with
-  | "enum" -> `Enum
-  | "bdd" -> `Bdd
-  | "auto" -> `Auto
-  | e -> bad "unknown engine %S (enum, bdd or auto)" e
+let enum_param ~default name table params =
+  let s = str_param ~default:(Params.name table default) name params in
+  match List.assoc_opt s table with
+  | Some v -> v
+  | None ->
+      let rec alternatives = function
+        | [ a; b ] -> a ^ " or " ^ b
+        | a :: rest -> a ^ ", " ^ alternatives rest
+        | [] -> ""
+      in
+      bad "unknown %s %S (%s)" name s (alternatives (List.map fst table))
 
-(* --- audit parameter block --------------------------------------------- *)
+let servers_param params =
+  let strings = strings ~name:"servers" ~what:"a list of strings" in
+  match Option.map strings (Json.member "servers" params) with
+  | Some [] -> bad "parameter \"servers\" must not be empty"
+  | Some servers -> servers
+  | None -> bad "missing parameter \"servers\""
 
 (* Everything a deterministic audit result is a function of, beyond
-   the snapshot contents. [canonical] is the compact JSON of the
-   normalized fields — the spec half of the cache key. *)
-type audit_params = {
-  snapshot : string;
-  servers : string list;
-  required : int;
-  engine : [ `Enum | `Bdd | `Auto ];
-  max_family : int option;
-  algorithm : [ `Minimal | `Sampling ];
-  rounds : int;
-  prob : float option;
-  audit_seed : int;
-}
-
-let audit_params t params =
-  let algorithm =
-    match str_param ~default:"minimal" "algorithm" params with
-    | "minimal" -> `Minimal
-    | "sampling" -> `Sampling
-    | a -> bad "unknown algorithm %S (minimal or sampling)" a
-  in
+   the snapshot contents; absent fields take {!Params.default}'s
+   values, except the seed, which is the daemon's. *)
+let audit_params t ~servers params =
+  let d = Params.default in
   {
-    snapshot = str_param ~default:"default" "snapshot" params;
-    servers =
-      (match string_list_param "servers" params with
-      | Some [] -> bad "parameter \"servers\" must not be empty"
-      | Some servers -> servers
-      | None -> bad "missing parameter \"servers\"");
-    required = int_param ~default:1 "required" params;
-    engine = engine_param params;
+    Params.servers;
+    required = int_param ~default:d.required "required" params;
+    engine = enum_param ~default:d.engine "engine" Params.engines params;
     max_family = int_opt_param "max-family" params;
-    algorithm;
-    rounds = int_param ~default:10_000 "rounds" params;
+    algorithm =
+      enum_param ~default:d.algorithm "algorithm" Params.algorithms params;
+    rounds = int_param ~default:d.rounds "rounds" params;
     prob = float_opt_param "prob" params;
-    audit_seed = int_param ~default:t.config.seed "seed" params;
+    seed = int_param ~default:t.config.seed "seed" params;
   }
-
-let engine_name p =
-  match p.algorithm with
-  | `Sampling -> "sampling"
-  | `Minimal -> (
-      match p.engine with `Enum -> "enum" | `Bdd -> "bdd" | `Auto -> "auto")
-
-(* The engine and family budget live in their own cache-key fields;
-   the spec digest covers the rest of the request. *)
-let spec_digest ~meth p =
-  let prob =
-    match p.prob with Some f -> Json.Float f | None -> Json.Null
-  in
-  Indaas_crypto.Digest.sha256_hex
-    (Json.to_string
-       (Json.Obj
-          [
-            ("method", Json.String meth);
-            ("servers", Json.List (List.map (fun s -> Json.String s) p.servers));
-            ("required", Json.Int p.required);
-            ("algorithm", Json.String
-               (match p.algorithm with
-               | `Minimal -> "minimal"
-               | `Sampling -> "sampling"));
-            ("rounds", Json.Int p.rounds);
-            ("prob", prob);
-            ("seed", Json.Int p.audit_seed);
-          ]))
-
-let cache_key ~meth ~snapshot_digest p =
-  {
-    Cache.snapshot_digest;
-    spec_digest = spec_digest ~meth p;
-    engine = engine_name p;
-    budget = p.max_family;
-  }
-
-let sia_request p =
-  let algorithm =
-    match p.algorithm with
-    | `Minimal -> (
-        match p.engine with
-        | `Enum ->
-            Sia_audit.Minimal_rg { max_size = None; max_family = p.max_family }
-        | `Bdd -> Sia_audit.Minimal_rg_bdd { max_size = None }
-        | `Auto ->
-            Sia_audit.Auto_rg { max_size = None; max_family = p.max_family })
-    | `Sampling -> Sia_audit.failure_sampling ~rounds:p.rounds
-  in
-  let component_probability = Option.map Builder.uniform_probability p.prob in
-  let ranking =
-    match p.prob with
-    | Some _ -> Sia_audit.Probability_based
-    | None -> Sia_audit.Size_based
-  in
-  Sia_audit.request ~required:p.required ?component_probability ~algorithm
-    ~ranking p.servers
 
 let unknown_snapshot name =
   fail_code "unknown-snapshot" "no snapshot %S (submit dependency data first)"
@@ -259,80 +186,53 @@ let submit_deps t params =
     (Snapshot.info_fields ~snapshot info
     @ [ ("invalidated", Json.Int invalidated) ])
 
-let audit t params =
-  let p = audit_params t params in
-  let snapshot_digest = snapshot_digest t p.snapshot in
-  cached t (cache_key ~meth:"audit" ~snapshot_digest p) @@ fun () ->
-  let db = snapshot_db t p.snapshot in
-  guarded @@ fun () ->
-  let report =
-    Sia_audit.audit ~rng:(Prng.of_int p.audit_seed) db (sia_request p)
+(* The audit-shaped methods: decode the spec, answer from the cache,
+   and on a miss run [compute] over the snapshot's DepDB. The engine
+   and family budget live in their own cache-key fields; the spec
+   digest covers the rest of the request. *)
+let audit_method t ~meth ?candidates ~servers params compute =
+  let snapshot = str_param ~default:"default" "snapshot" params in
+  let p = audit_params t ~servers params in
+  let key =
+    {
+      Cache.snapshot_digest = snapshot_digest t snapshot;
+      spec_digest =
+        Indaas_crypto.Digest.sha256_hex
+          (Json.to_string (Params.spec_json ~meth ?candidates p));
+      engine = Params.engine_label p;
+      budget = p.max_family;
+    }
   in
-  Sia_report.deployment_to_json report
+  cached t key @@ fun () ->
+  let db = snapshot_db t snapshot in
+  guarded @@ fun () -> compute db p
+
+let audit t params =
+  audit_method t ~meth:"audit" ~servers:(servers_param params) params
+  @@ fun db p ->
+  Sia_report.deployment_to_json
+    (Sia_audit.audit ~rng:(Prng.of_int p.seed) db (Params.request p))
 
 let compare_deployments t params =
+  let name = "candidates" and what = "a list of server lists" in
   let candidates =
-    match Json.member "candidates" params with
-    | Some (Json.List lists) ->
-        List.map
-          (function
-            | Json.List names ->
-                List.map
-                  (function
-                    | Json.String s -> s
-                    | _ ->
-                        bad
-                          "parameter \"candidates\" must be a list of server \
-                           lists")
-                  names
-            | _ -> bad "parameter \"candidates\" must be a list of server lists")
-          lists
-    | Some _ -> bad "parameter \"candidates\" must be a list of server lists"
+    match Json.member name params with
+    | Some (Json.List lists) -> List.map (strings ~name ~what) lists
+    | Some _ -> bad "parameter %S must be %s" name what
     | None -> bad "missing parameter \"candidates\""
   in
   if candidates = [] then bad "parameter \"candidates\" must not be empty";
-  (* [audit_params] wants a servers list; the candidate sets flatten
-     into that slot (";"-delimited) so the canonical spec digest
-     covers them unambiguously. *)
-  let flat =
-    List.concat_map (fun c -> List.map (fun s -> Json.String s) c
-                              @ [ Json.String ";" ])
-      candidates
-  in
-  let p =
-    audit_params t
-      (match params with
-      | Json.Obj fields ->
-          Json.Obj
-            (("servers", Json.List flat) :: List.remove_assoc "servers" fields)
-      | _ -> Json.Obj [ ("servers", Json.List flat) ])
-  in
-  let snapshot_digest = snapshot_digest t p.snapshot in
-  cached t (cache_key ~meth:"compare" ~snapshot_digest p) @@ fun () ->
-  let db = snapshot_db t p.snapshot in
-  guarded @@ fun () ->
-  let reports =
-    Sia_audit.audit_candidates ~rng:(Prng.of_int p.audit_seed) db ~candidates
-      (sia_request { p with servers = [] })
-  in
-  Sia_report.comparison_to_json reports
+  audit_method t ~meth:"compare" ~candidates ~servers:[] params @@ fun db p ->
+  Sia_report.comparison_to_json
+    (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db ~candidates
+       (Params.request p))
 
 let rg_query t params =
-  let p = audit_params t params in
-  let snapshot_digest = snapshot_digest t p.snapshot in
-  cached t (cache_key ~meth:"rg-query" ~snapshot_digest p) @@ fun () ->
-  let db = snapshot_db t p.snapshot in
-  guarded @@ fun () ->
-  let spec = Builder.spec ~required:p.required p.servers in
+  audit_method t ~meth:"rg-query" ~servers:(servers_param params) params
+  @@ fun db p ->
+  let { Sia_audit.spec; algorithm; _ } = Params.request p in
   let graph = Builder.build db spec in
-  let rgs =
-    match p.engine with
-    | `Bdd -> Bdd.minimal_risk_groups graph
-    | `Enum -> Cutset.minimal_risk_groups ?max_family:p.max_family graph
-    | `Auto -> (
-        try Cutset.minimal_risk_groups ?max_family:p.max_family graph
-        with Cutset.Too_many_cut_sets _ -> Bdd.minimal_risk_groups graph)
-  in
+  let rgs = Sia_audit.risk_groups ~rng:(Prng.of_int p.seed) algorithm graph in
   Json.Obj
     [
       ("count", Json.Int (List.length rgs));

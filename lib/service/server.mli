@@ -11,9 +11,20 @@
       [indaas sia --json] report for the same DepDB/spec/seed.
     - [compare] — rank candidate deployments ([indaas compare]'s
       JSON).
-    - [rg-query] — just the minimal risk groups of a deployment.
+    - [rg-query] — just the risk groups of a deployment, under the
+      request's engine and algorithm.
     - [stats] — snapshots, cache and scheduler counters.
     - [shutdown] — stop accepting input ({!serve} drains and returns).
+
+    [audit], [compare] and [rg-query] take the fields of
+    {!Indaas_sia.Params.t} under the names [servers] (or, for
+    [compare], [candidates]: a list of server lists), [required],
+    [engine], [max-family], [algorithm], [rounds], [prob] and [seed],
+    plus [snapshot] (default ["default"]). An absent field takes
+    {!Indaas_sia.Params.default}'s value, except [seed], which
+    defaults to the daemon's {!config} seed. Engine and algorithm
+    names are {!Indaas_sia.Params.engines} and
+    {!Indaas_sia.Params.algorithms}.
 
     Every request is dispatched inside a [service.request] span and
     counted; cache and scheduler activity surfaces as
@@ -29,7 +40,8 @@ type config = {
 }
 
 val default_config : config
-(** seed 42, queue 64, no deadline, 1024 cache entries. *)
+(** Seed {!Indaas_sia.Params.default}'s (42), queue 64, no deadline,
+    1024 cache entries. *)
 
 type t
 

@@ -6,14 +6,14 @@ module Prng = Indaas_util.Prng
 module Obs = Indaas_obs.Registry
 
 type rg_algorithm =
-  | Minimal_rg of { max_size : int option; max_family : int option }
-  | Minimal_rg_bdd of { max_size : int option }
-  | Auto_rg of { max_size : int option; max_family : int option }
+  | Minimal_rg of { max_family : int option }
+  | Minimal_rg_bdd
+  | Auto_rg of { max_family : int option }
   | Failure_sampling of Sampling.config
 
-let minimal_rg = Minimal_rg { max_size = None; max_family = None }
-let minimal_rg_bdd = Minimal_rg_bdd { max_size = None }
-let auto_rg = Auto_rg { max_size = None; max_family = None }
+let minimal_rg = Minimal_rg { max_family = None }
+let minimal_rg_bdd = Minimal_rg_bdd
+let auto_rg = Auto_rg { max_family = None }
 
 let failure_sampling ~rounds =
   Failure_sampling { Sampling.default_config with Sampling.rounds }
@@ -24,16 +24,14 @@ type request = {
   spec : Builder.spec;
   algorithm : rg_algorithm;
   ranking : ranking;
-  top_n : int option;
 }
 
 let request ?required ?component_probability ?(algorithm = minimal_rg)
-    ?(ranking = Size_based) ?top_n servers =
+    ?(ranking = Size_based) servers =
   {
     spec = Builder.spec ?required ?component_probability servers;
     algorithm;
     ranking;
-    top_n;
   }
 
 type deployment_report = {
@@ -49,32 +47,33 @@ type deployment_report = {
 
 let algorithm_label = function
   | Minimal_rg _ -> "minimal_rg"
-  | Minimal_rg_bdd _ -> "minimal_rg_bdd"
+  | Minimal_rg_bdd -> "minimal_rg_bdd"
   | Auto_rg _ -> "auto_rg"
   | Failure_sampling _ -> "failure_sampling"
 
-let determine_rgs rng algorithm graph =
+let default_rng () = Prng.of_int 0xD1CE
+
+let risk_groups ?(rng = default_rng ()) algorithm graph =
   match algorithm with
-  | Minimal_rg { max_size; max_family } ->
-      Cutset.minimal_risk_groups ?max_size ?max_family graph
-  | Minimal_rg_bdd { max_size } -> Bdd.minimal_risk_groups ?max_size graph
-  | Auto_rg { max_size; max_family } -> (
+  | Minimal_rg { max_family } -> Cutset.minimal_risk_groups ?max_family graph
+  | Minimal_rg_bdd -> Bdd.minimal_risk_groups graph
+  | Auto_rg { max_family } -> (
       (* Enumeration with absorption is the fast path on the sparse
          graphs audits usually see; when its family budget trips, the
          symbolic engine computes the identical family without ever
          materializing intermediate ones. *)
-      try Cutset.minimal_risk_groups ?max_size ?max_family graph
-      with Cutset.Too_many_cut_sets _ -> Bdd.minimal_risk_groups ?max_size graph)
+      try Cutset.minimal_risk_groups ?max_family graph
+      with Cutset.Too_many_cut_sets _ -> Bdd.minimal_risk_groups graph)
   | Failure_sampling config ->
       (Sampling.run ~config rng graph).Sampling.risk_groups
 
-let audit ?(rng = Prng.of_int 0xD1CE) db request =
+let audit ?(rng = default_rng ()) db request =
   let graph = Builder.build db request.spec in
   let rgs =
     Obs.with_span "minimize"
       ~attrs:[ ("algorithm", algorithm_label request.algorithm) ]
     @@ fun () ->
-    let rgs = determine_rgs rng request.algorithm graph in
+    let rgs = risk_groups ~rng request.algorithm graph in
     Obs.span_attr "risk_groups" (string_of_int (List.length rgs));
     rgs
   in
@@ -91,11 +90,11 @@ let audit ?(rng = Prng.of_int 0xD1CE) db request =
     match request.ranking with
     | Size_based ->
         let ranked = Rank.size_based graph rgs in
-        (ranked, Rank.independence_score_size ?top_n:request.top_n ranked, None)
+        (ranked, Rank.independence_score_size ranked, None)
     | Probability_based ->
         let ranked = Rank.probability_based rng graph rgs in
         ( ranked,
-          Rank.independence_score_importance ?top_n:request.top_n ranked,
+          Rank.independence_score_importance ranked,
           Some (Rank.top_probability rng graph rgs) )
   in
   let expected_rg_size = Builder.expected_rg_size request.spec in

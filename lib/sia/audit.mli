@@ -11,30 +11,36 @@ module Sampling = Indaas_faultgraph.Sampling
 (** Pluggable RG-determination backend (§4.1.2). The three exact
     backends return the identical family in identical order. *)
 type rg_algorithm =
-  | Minimal_rg of { max_size : int option; max_family : int option }
+  | Minimal_rg of { max_family : int option }
       (** bottom-up enumeration with absorption; exact, worst-case
           exponential, raises {!Cutset.Too_many_cut_sets} past the
-          family budget *)
-  | Minimal_rg_bdd of { max_size : int option }
+          family budget ([None]: {!Cutset.default_max_family}) *)
+  | Minimal_rg_bdd
       (** exact symbolic extraction: BDD compilation + Rauzy's
           minimal-solutions pass ({!Bdd.minimal_risk_groups}) —
           no family budget, slower on small sparse graphs *)
-  | Auto_rg of { max_size : int option; max_family : int option }
+  | Auto_rg of { max_family : int option }
       (** enumeration first; falls back to the BDD engine when the
           enumeration budget trips *)
   | Failure_sampling of Sampling.config  (** linear-time, incomplete *)
 
 val minimal_rg : rg_algorithm
-(** [Minimal_rg] with no size bound and the default family budget. *)
+(** [Minimal_rg] with the default family budget. *)
 
 val minimal_rg_bdd : rg_algorithm
-(** [Minimal_rg_bdd] with no size bound. *)
 
 val auto_rg : rg_algorithm
-(** [Auto_rg] with no size bound and the default family budget. *)
+(** [Auto_rg] with the default family budget. *)
 
 val failure_sampling : rounds:int -> rg_algorithm
 (** Sampling with the paper's fair coins and witness shrinking. *)
+
+val risk_groups :
+  ?rng:Indaas_util.Prng.t -> rg_algorithm -> Graph.t -> Cutset.rg list
+(** The top event's risk groups (§4.1.2): the minimal family in
+    {!Cutset.sort_family} order from the exact engines, the distinct
+    RGs found by sampling. [rng] drives sampling (default as in
+    {!audit}). *)
 
 (** Ranking discipline (§4.1.3). *)
 type ranking = Size_based | Probability_based
@@ -43,7 +49,6 @@ type request = {
   spec : Builder.spec;
   algorithm : rg_algorithm;
   ranking : ranking;
-  top_n : int option;  (** RGs included in the independence score *)
 }
 
 val request :
@@ -51,11 +56,10 @@ val request :
   ?component_probability:(string -> float option) ->
   ?algorithm:rg_algorithm ->
   ?ranking:ranking ->
-  ?top_n:int ->
   string list ->
   request
-(** Defaults: exact minimal-RG algorithm, size-based ranking, all RGs
-    scored. *)
+(** Defaults: exact minimal-RG algorithm, size-based ranking. Every
+    RG counts towards the independence score. *)
 
 type deployment_report = {
   servers : string list;

@@ -340,36 +340,9 @@ let prop_diagnostic_roundtrip =
       in
       D.equal d compact && D.equal d pretty)
 
-(* Random dependency databases over a small machine universe — many of
-   them malformed on purpose. *)
-let gen_db =
-  QCheck.make
-    ~print:(fun records -> Dependency.to_xml_many records)
-    QCheck.Gen.(
-      let machine = map (Printf.sprintf "m%d") (int_bound 3) in
-      let device = map (Printf.sprintf "d%d") (int_bound 4) in
-      let package = map (Printf.sprintf "p%d") (int_bound 3) in
-      let record =
-        oneof
-          [
-            map2
-              (fun src route -> Dependency.network ~src ~dst:"I" ~route)
-              machine
-              (list_size (int_bound 3) device);
-            map2
-              (fun hw dep -> Dependency.hardware ~hw ~hw_type:"Disk" ~dep)
-              machine device;
-            map2
-              (fun (pgm, host) deps -> Dependency.software ~pgm ~host ~deps)
-              (pair package machine)
-              (list_size (int_bound 2) package);
-          ]
-      in
-      list_size (int_range 1 10) record)
-
 let prop_clean_db_builds =
   QCheck.Test.make ~name:"a DB that lints clean builds every fault graph"
-    ~count:500 gen_db (fun records ->
+    ~count:500 Fixtures.gen_db (fun records ->
       let db = Depdb.create () in
       Depdb.add_all db records;
       let findings = Lint.lint_db db in
@@ -391,7 +364,7 @@ let prop_clean_db_builds =
 
 let prop_lint_is_deterministic =
   QCheck.Test.make ~name:"lint output is stable and duplicate-free" ~count:200
-    gen_db (fun records ->
+    Fixtures.gen_db (fun records ->
       let db = Depdb.create () in
       Depdb.add_all db records;
       let a = Lint.lint_db db in
@@ -528,7 +501,7 @@ let prop_spof_matches_oracle_views =
 let prop_spof_matches_oracle_builder =
   QCheck.Test.make
     ~name:"IND-G006 equals per-event evaluation on builder graphs" ~count:300
-    gen_db (fun records ->
+    Fixtures.gen_db (fun records ->
       let db = Depdb.create () in
       Depdb.add_all db records;
       let machines = Depdb.machines db in

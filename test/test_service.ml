@@ -4,6 +4,8 @@ module Dependency = Indaas_depdata.Dependency
 module Depdb = Indaas_depdata.Depdb
 module Sia_audit = Indaas_sia.Audit
 module Sia_report = Indaas_sia.Report
+module Sia_rank = Indaas_sia.Rank
+module Params = Indaas_sia.Params
 module Vclock = Indaas_resilience.Vclock
 module Degradation = Indaas_resilience.Degradation
 module Frame = Indaas_service.Frame
@@ -555,13 +557,14 @@ let error_code (r : Frame.response) =
   | Ok _ -> Alcotest.fail "expected an error response"
   | Error e -> e.Frame.code
 
-let submitted_server () =
+let server_of_records records =
   let srv = Server.create () in
   ignore
     (ok_exn
-       (Server.handle srv
-          (Client.submit_deps ~id:1 ~source:"db" ~records:table1 ())));
+       (Server.handle srv (Client.submit_deps ~id:1 ~source:"db" ~records ())));
   srv
+
+let submitted_server () = server_of_records table1
 
 let audit_req ~id ?options servers = Client.audit ~id ?options ~servers ()
 
@@ -576,7 +579,7 @@ let test_server_audit_matches_batch () =
     let db = Depdb.of_string table1 in
     let request =
       Sia_audit.request ~required:1
-        ~algorithm:(Sia_audit.Auto_rg { max_size = None; max_family = None })
+        ~algorithm:(Sia_audit.Auto_rg { max_family = None })
         ~ranking:Sia_audit.Size_based [ "S1"; "S2" ]
     in
     Sia_report.deployment_to_json
@@ -650,13 +653,217 @@ let test_server_error_responses () =
     (code (audit_req ~id:7 [ "S1"; "Nope" ]));
   check Alcotest.string "bad engine" "bad-request"
     (code
-       (audit_req ~id:8
-          ~options:{ Client.audit_options with engine = Some "quantum" }
-          [ "S1" ]));
+       (Client.request ~id:8 ~meth:"audit"
+          [
+            ("servers", Json.List [ Json.String "S1" ]);
+            ("engine", Json.String "quantum");
+          ]));
   check Alcotest.string "unparsable records" "bad-request"
     (error_code
        (Server.handle srv
           (Client.submit_deps ~id:9 ~source:"db" ~records:"<garbage" ())))
+
+let example_records name = Fixtures.read_file (Fixtures.example_path name)
+
+let strings_of = function
+  | Json.List items ->
+      List.map (function Json.String s -> s | _ -> Alcotest.fail "string") items
+  | _ -> Alcotest.fail "list of strings"
+
+(* rg-query follows the request's algorithm: under sampling it returns
+   the RG set the batch sampling audit finds at the same seed and
+   rounds, not the exact family. *)
+let test_rg_query_sampling_matches_batch () =
+  let records = example_records "fattree-k4.xml" in
+  let srv = server_of_records records in
+  let db = Depdb.of_string records in
+  let servers = [ "server0"; "server4" ] in
+  List.iteri
+    (fun i rounds ->
+      let options =
+        {
+          Client.audit_options with
+          algorithm = Some Params.Sampling;
+          rounds = Some rounds;
+        }
+      in
+      let served =
+        ok_exn
+          (Server.handle srv (Client.rg_query ~id:(i + 2) ~options ~servers ()))
+      in
+      let served =
+        match Json.member "risk_groups" served with
+        | Some (Json.List rgs) -> List.sort compare (List.map strings_of rgs)
+        | _ -> Alcotest.fail "risk_groups"
+      in
+      let p =
+        { Params.default with servers; algorithm = Params.Sampling; rounds }
+      in
+      let report =
+        Sia_audit.audit ~rng:(Prng.of_int p.seed) db (Params.request p)
+      in
+      let batch =
+        List.sort compare
+          (List.map (fun r -> r.Sia_rank.rg_names) report.Sia_audit.ranked)
+      in
+      check
+        Alcotest.(list (list string))
+        (Printf.sprintf "rounds %d" rounds)
+        batch served)
+    [ 1; 3; 200 ]
+
+(* Candidate sets are keyed as nested lists: a deployment containing a
+   server named ";" is not the two deployments it separates. *)
+let test_compare_keys_nested_candidates () =
+  let records =
+    String.concat "\n"
+      [
+        {|<src="a" dst="I" route="sw1"/>|};
+        {|<src=";" dst="I" route="sw2"/>|};
+        {|<src="b" dst="I" route="sw1"/>|};
+      ]
+  in
+  let srv = server_of_records records in
+  let compare ~id candidates =
+    ok_exn (Server.handle srv (Client.compare_deployments ~id ~candidates ()))
+  in
+  ignore (compare ~id:2 [ [ "a"; ";"; "b" ] ]);
+  let candidates = [ [ "a" ]; [ "b" ] ] in
+  let served = compare ~id:3 candidates in
+  check Alcotest.int "second request misses" 2
+    (Server.cache_stats srv).Cache.misses;
+  let batch =
+    Sia_report.comparison_to_json
+      (Sia_audit.audit_candidates
+         ~rng:(Prng.of_int Params.default.seed)
+         (Depdb.of_string records) ~candidates
+         (Params.request Params.default))
+  in
+  check json "batch compare" batch served
+
+(* --- serve output equals batch output ------------------------------------- *)
+
+(* A random audit of one example DepDB: every field of the spec is
+   either stated on the wire or left out, so the daemon's defaults must
+   be {!Params.default}, the CLI's. Deployments have 1-2 servers: a
+   3-way cross-pod fat-tree deployment under probability ranking takes
+   ~0.3 s (Monte-Carlo Pr(T)). *)
+type served_case = {
+  example : string;
+  servers : string list;
+  candidates : string list list;
+  options : Client.audit_options;
+}
+
+let example_machines =
+  [
+    ("figure2.xml", [ "S1"; "S2" ]);
+    ("fattree-k4.xml", List.init 16 (Printf.sprintf "server%d"));
+  ]
+
+let gen_served_case =
+  let open QCheck.Gen in
+  let* example, machines = oneofl example_machines in
+  let deployment =
+    let* n = int_range 1 2 in
+    map (List.filteri (fun i _ -> i < n)) (shuffle_l machines)
+  in
+  let* servers = deployment in
+  let* candidates = list_size (int_range 1 3) deployment in
+  let* required = opt (int_range 1 2) in
+  let* engine = opt (oneofl (List.map snd Params.engines)) in
+  let* max_family = opt (oneofl [ 1; 1_000_000 ]) in
+  let* algorithm = opt (oneofl (List.map snd Params.algorithms)) in
+  let* rounds = opt (int_range 1 50) in
+  let* prob = opt (float_range 0.01 0.5) in
+  let+ seed = opt (int_bound 10_000) in
+  {
+    example;
+    servers;
+    candidates;
+    options =
+      {
+        Client.audit_options with
+        required;
+        engine;
+        max_family;
+        algorithm;
+        rounds;
+        prob;
+        seed;
+      };
+  }
+
+let arb_served_case =
+  QCheck.make gen_served_case ~print:(fun c ->
+      Printf.sprintf "%s %s"
+        c.example
+        (Json.to_string
+           (Client.compare_deployments ~id:0 ~options:c.options
+              ~candidates:(c.servers :: c.candidates) ())
+             .Frame.params))
+
+let params_of_options servers (o : Client.audit_options) =
+  let d = Params.default in
+  let ( |? ) v default = Option.value v ~default in
+  {
+    Params.servers;
+    required = o.required |? d.required;
+    engine = o.engine |? d.engine;
+    max_family = o.max_family;
+    algorithm = o.algorithm |? d.algorithm;
+    rounds = o.rounds |? d.rounds;
+    prob = o.prob;
+    seed = o.seed |? d.seed;
+  }
+
+(* One daemon per example, reused across cases, so hits are checked
+   as well as misses. *)
+let example_servers =
+  lazy
+    (List.map
+       (fun (example, _) ->
+         let records = example_records example in
+         (example, (server_of_records records, Depdb.of_string records)))
+       example_machines)
+
+(* Both sides as bytes, or as the error code the daemon maps the batch
+   path's exception to. *)
+let served srv req =
+  match (Server.handle srv req).Frame.result with
+  | Ok payload -> Ok (Json.to_string payload)
+  | Error e -> Error e.Frame.code
+
+let batch f =
+  match f () with
+  | json -> Ok (Json.to_string json)
+  | exception Invalid_argument _ -> Error "bad-request"
+  | exception Indaas_faultgraph.Cutset.Too_many_cut_sets _ ->
+      Error "budget-exceeded"
+
+let prop_serve_audit_equals_batch =
+  QCheck.Test.make ~name:"served audit equals the batch report" ~count:150
+    arb_served_case (fun c ->
+      let srv, db = List.assoc c.example (Lazy.force example_servers) in
+      let p = params_of_options c.servers c.options in
+      served srv (Client.audit ~id:1 ~options:c.options ~servers:c.servers ())
+      = batch (fun () ->
+            Sia_report.deployment_to_json
+              (Sia_audit.audit ~rng:(Prng.of_int p.seed) db
+                 (Params.request p))))
+
+let prop_serve_compare_equals_batch =
+  QCheck.Test.make ~name:"served compare equals the batch ranking" ~count:100
+    arb_served_case (fun c ->
+      let srv, db = List.assoc c.example (Lazy.force example_servers) in
+      let p = params_of_options [] c.options in
+      served srv
+        (Client.compare_deployments ~id:1 ~options:c.options
+           ~candidates:c.candidates ())
+      = batch (fun () ->
+            Sia_report.comparison_to_json
+              (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db
+                 ~candidates:c.candidates (Params.request p))))
 
 (* One-shot serving over the loopback: write the whole request stream,
    serve, then decode the whole response stream. *)
@@ -794,6 +1001,12 @@ let () =
           Alcotest.test_case "delta invalidation" `Quick
             test_server_delta_invalidates_exactly;
           Alcotest.test_case "error responses" `Quick test_server_error_responses;
+          Alcotest.test_case "rg-query follows the algorithm" `Quick
+            test_rg_query_sampling_matches_batch;
+          Alcotest.test_case "compare keys nested candidates" `Quick
+            test_compare_keys_nested_candidates;
+          qtest prop_serve_audit_equals_batch;
+          qtest prop_serve_compare_equals_batch;
           Alcotest.test_case "serve end to end" `Quick test_serve_end_to_end;
           Alcotest.test_case "serve deterministic" `Quick test_serve_deterministic;
           Alcotest.test_case "truncated stream" `Quick test_serve_truncated_stream;

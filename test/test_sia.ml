@@ -277,7 +277,7 @@ let dense_db () =
 let test_audit_auto_falls_back_to_bdd () =
   let db = dense_db () in
   let budgeted max_family =
-    Audit.Auto_rg { max_size = None; max_family = Some max_family }
+    Audit.Auto_rg { max_family = Some max_family }
   in
   (* the plain enumeration algorithm refuses this budget... *)
   check Alcotest.bool "enum refuses" true
@@ -285,7 +285,7 @@ let test_audit_auto_falls_back_to_bdd () =
        ignore
          (Audit.audit db
             (Audit.request
-               ~algorithm:(Audit.Minimal_rg { max_size = None; max_family = Some 100 })
+               ~algorithm:(Audit.Minimal_rg { max_family = Some 100 })
                [ "S1"; "S2" ]));
        false
      with Cutset.Too_many_cut_sets _ -> true);
@@ -315,33 +315,41 @@ let example_deployments =
     ("fattree-k4.xml", [ "server0"; "server5"; "server15" ]);
   ]
 
-(* cwd is test/ under `dune runtest` but the project root under
-   `dune exec test/test_sia.exe` *)
-let example_path name =
-  let candidates =
-    [ Filename.concat "../examples/db" name; Filename.concat "examples/db" name ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> Alcotest.fail ("cannot locate examples/db/" ^ name)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let test_examples_engines_identical () =
   List.iter
     (fun (name, servers) ->
-      let path = example_path name in
-      let db = Depdb.of_string (read_file path) in
+      let path = Fixtures.example_path name in
+      let db = Depdb.of_string (Fixtures.read_file path) in
       let g = Builder.build db (Builder.spec servers) in
       let enum = Indaas_faultgraph.Cutset.minimal_risk_groups g in
       let bdd = Bdd.minimal_risk_groups g in
       check Alcotest.bool (path ^ ": identical families") true (enum = bdd);
       check Alcotest.bool (path ^ ": non-empty") true (enum <> []))
     example_deployments
+
+(* Every exact engine, and auto under a budget of 1 (which forces the
+   BDD fallback), returns the identical family on builder graphs from
+   random DepDBs, at every [required]. *)
+let prop_engines_agree_on_builder_graphs =
+  QCheck.Test.make ~name:"engines agree on builder graphs from random DepDBs"
+    ~count:300 Fixtures.gen_db (fun records ->
+      let db = Depdb.create () in
+      Depdb.add_all db records;
+      let machines = Depdb.machines db in
+      List.for_all
+        (fun required ->
+          match Builder.build db (Builder.spec ~required machines) with
+          | exception Invalid_argument _ -> true
+          | g ->
+              let enum = Audit.risk_groups Audit.minimal_rg g in
+              List.for_all
+                (fun algorithm -> Audit.risk_groups algorithm g = enum)
+                [
+                  Audit.minimal_rg_bdd;
+                  Audit.auto_rg;
+                  Audit.Auto_rg { max_family = Some 1 };
+                ])
+        (List.init (List.length machines) succ))
 
 (* --- Report ---------------------------------------------------------------- *)
 
@@ -438,6 +446,7 @@ let () =
             test_audit_auto_uses_enum_within_budget;
           Alcotest.test_case "examples/db: engines byte-identical" `Quick
             test_examples_engines_identical;
+          QCheck_alcotest.to_alcotest prop_engines_agree_on_builder_graphs;
         ] );
       ( "report",
         [
