@@ -8,7 +8,7 @@
      indaas case  network|hardware|software
      indaas chaos --scenario sia-lab --plan crash-one --trials 10 --seed 42
      indaas dot   --db deps.xml --servers S1,S2 -o graph.dot
-     indaas serve --one-shot [--metrics]
+     indaas serve --seed 7 [--metrics] < requests.bin > responses.bin
      indaas client --submit db=deps.xml --audit --servers S1,S2 --shutdown
 *)
 
@@ -936,13 +936,18 @@ let coverage_cmd =
 (* --- indaas serve / indaas client -------------------------------------- *)
 
 let serve_cmd =
-  let run one_shot seed max_queue deadline cache_capacity trace metrics =
-    if not one_shot then begin
-      prerr_endline
-        "indaas serve: only --one-shot serving is supported (read every \
-         request frame from stdin, answer on stdout, exit)";
-      exit 124
-    end;
+  let run seed max_queue deadline cache_capacity trace metrics =
+    let usage_unless ok msg =
+      if not ok then begin
+        prerr_endline ("indaas serve: " ^ msg);
+        exit 124
+      end
+    in
+    usage_unless (max_queue >= 1) "--max-queue must be at least 1";
+    usage_unless (cache_capacity >= 1) "--cache-capacity must be at least 1";
+    usage_unless
+      (Option.fold ~none:true ~some:(fun d -> d >= 0.) deadline)
+      "--deadline must be non-negative";
     let config =
       {
         Server.seed;
@@ -954,7 +959,8 @@ let serve_cmd =
     let srv = Server.create ~config () in
     (* Timestamps come from the scheduler's virtual clock, so traces
        and metrics are a function of (request stream, seed) — two runs
-       over the same input compare byte-identical. *)
+       over the same input compare byte-identical — except queue waits,
+       which follow how the input splits into reads. *)
     if metrics || trace <> None then begin
       let clock =
         Obs.clock_of_seconds (fun () -> Vclock.now (Server.clock srv))
@@ -974,23 +980,14 @@ let serve_cmd =
       prerr_string (Indaas_obs.Metrics.render (Obs.metrics reg))
     end
   in
-  let one_shot_arg =
-    Arg.(
-      value & flag
-      & info [ "one-shot" ]
-          ~doc:
-            "Serve one connection over stdin/stdout: admit every request \
-             frame through the scheduler until end of input (or a \
-             $(b,shutdown) request), then answer all of them in arrival \
-             order and exit.")
-  in
   let max_queue_arg =
     Arg.(
       value & opt int 64
       & info [ "max-queue" ] ~docv:"N"
           ~doc:
-            "Admission-control bound: requests beyond $(docv) queued ones \
-             are shed with an $(b,overloaded) error.")
+            "Admission-control bound: a request that arrives while \
+             $(docv) admitted ones still wait to run is shed with an \
+             $(b,overloaded) error, answered in its turn.")
   in
   let deadline_arg =
     Arg.(
@@ -1018,14 +1015,16 @@ let serve_cmd =
   in
   let term =
     Term.(
-      const run $ one_shot_arg $ seed_arg $ max_queue_arg $ deadline_arg
+      const run $ seed_arg $ max_queue_arg $ deadline_arg
       $ cache_capacity_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Audit daemon: answer protocol-v1 request frames over stdin/stdout \
-          with snapshot storage, request scheduling and result caching.")
+         "Audit daemon: answer protocol-v1 request frames from stdin on \
+          stdout as they arrive, until end of input or a $(b,shutdown) \
+          request, with snapshot storage, request scheduling and result \
+          caching.")
     term
 
 let client_cmd =

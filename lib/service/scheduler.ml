@@ -1,15 +1,19 @@
 module Vclock = Indaas_resilience.Vclock
-module Degradation = Indaas_resilience.Degradation
 module Json = Indaas_util.Json
 module Obs = Indaas_obs.Registry
 
-type job = {
-  arrival : float;  (** virtual admission time *)
-  deadline : float option;
-  cost : float;
-  run : unit -> unit;
-  shed : reason:string -> unit;
-}
+(* The queue holds every submission in arrival order: an admitted job
+   runs (or misses its deadline) at its turn, and an overloaded one is
+   answered at its turn, so no answer overtakes an earlier one. *)
+type job =
+  | Admitted of {
+      arrival : float;  (** virtual admission time *)
+      deadline : float option;
+      cost : float;
+      run : unit -> unit;
+      shed : reason:string -> unit;
+    }
+  | Overloaded of (reason:string -> unit)
 
 type t = {
   clock : Vclock.t;
@@ -23,7 +27,7 @@ type t = {
   mutable shed_deadline : int;
 }
 
-let create ?clock ?(max_queue = 64) ?default_deadline () =
+let create ?(max_queue = 64) ?default_deadline () =
   if max_queue < 1 then
     invalid_arg "Scheduler.create: max_queue must be positive";
   (match default_deadline with
@@ -31,7 +35,7 @@ let create ?clock ?(max_queue = 64) ?default_deadline () =
       invalid_arg "Scheduler.create: default_deadline must be non-negative"
   | _ -> ());
   {
-    clock = (match clock with Some c -> c | None -> Vclock.create ());
+    clock = Vclock.create ();
     max_queue;
     default_deadline;
     queue = Queue.create ();
@@ -44,13 +48,16 @@ let create ?clock ?(max_queue = 64) ?default_deadline () =
 
 let clock t = t.clock
 
+(* Every admitted job leaves the queue served or past its deadline. *)
+let waiting t = t.admitted - t.served - t.shed_deadline
+
 let submit t ?deadline ~cost ~run ~shed () =
   if cost < 0. then invalid_arg "Scheduler.submit: cost must be non-negative";
   t.submitted <- t.submitted + 1;
-  if Queue.length t.queue >= t.max_queue then begin
+  if waiting t >= t.max_queue then begin
     t.shed_overload <- t.shed_overload + 1;
     Obs.incr "service.sched.shed.overload";
-    shed ~reason:"overloaded"
+    Queue.add (Overloaded shed) t.queue
   end
   else begin
     t.admitted <- t.admitted + 1;
@@ -59,26 +66,28 @@ let submit t ?deadline ~cost ~run ~shed () =
       match deadline with Some _ as d -> d | None -> t.default_deadline
     in
     Queue.add
-      { arrival = Vclock.now t.clock; deadline; cost; run; shed }
+      (Admitted { arrival = Vclock.now t.clock; deadline; cost; run; shed })
       t.queue
   end
 
 let run_all t =
   while not (Queue.is_empty t.queue) do
-    let job = Queue.pop t.queue in
-    let waited = Vclock.now t.clock -. job.arrival in
-    match job.deadline with
-    | Some d when waited > d ->
-        t.shed_deadline <- t.shed_deadline + 1;
-        Obs.incr "service.sched.shed.deadline";
-        Obs.observe "service.sched.wait_seconds" waited;
-        job.shed ~reason:"deadline-exceeded"
-    | _ ->
-        Vclock.advance t.clock job.cost;
-        t.served <- t.served + 1;
-        Obs.incr "service.sched.served";
-        Obs.observe "service.sched.wait_seconds" waited;
-        job.run ()
+    match Queue.pop t.queue with
+    | Overloaded shed -> shed ~reason:"overloaded"
+    | Admitted job -> (
+        let waited = Vclock.now t.clock -. job.arrival in
+        match job.deadline with
+        | Some d when waited > d ->
+            t.shed_deadline <- t.shed_deadline + 1;
+            Obs.incr "service.sched.shed.deadline";
+            Obs.observe "service.sched.wait_seconds" waited;
+            job.shed ~reason:"deadline-exceeded"
+        | _ ->
+            Vclock.advance t.clock job.cost;
+            t.served <- t.served + 1;
+            Obs.incr "service.sched.served";
+            Obs.observe "service.sched.wait_seconds" waited;
+            job.run ())
   done
 
 type stats = {
@@ -107,23 +116,3 @@ let stats_to_json s =
       ("shed_overload", Json.Int s.shed_overload);
       ("shed_deadline", Json.Int s.shed_deadline);
     ]
-
-let degradation (t : t) =
-  let shed = t.shed_overload + t.shed_deadline in
-  if shed = 0 then None
-  else
-    Some
-      (Degradation.make ~retries:0
-         [
-           {
-             Degradation.source = "scheduler";
-             status =
-               Degradation.Degraded
-                 (Printf.sprintf "%d of %d request(s) shed" shed t.submitted);
-             attempts = t.served;
-             modules_total = t.submitted;
-             modules_failed = shed;
-             records = t.served;
-             records_lost = shed;
-           };
-         ])

@@ -1,30 +1,26 @@
 (** Request scheduling: a bounded FIFO queue with admission control
     and per-request deadlines on a virtual clock.
 
-    The daemon sheds load instead of stalling. Admission rejects a
-    request outright once the queue is full ([overloaded]); at
-    dispatch, a request whose virtual queueing delay already exceeds
-    its deadline is shed unrun ([deadline-exceeded]). Execution
+    The daemon sheds load instead of stalling. Admission refuses a
+    request once [max_queue] admitted requests are still waiting
+    ([overloaded]); at dispatch, a request whose virtual queueing
+    delay already exceeds its deadline is shed unrun
+    ([deadline-exceeded]). Both verdicts are answered at the request's
+    turn in the queue, so answers keep arrival order. Execution
     advances the {!Indaas_resilience.Vclock} by the request's cost, so
     deadline arithmetic — like every other timestamp in the serving
-    stack — is a deterministic function of the request stream, and a
-    whole serve run replays byte-identically.
-
-    Shedding is accounted the same way degraded audits are: an
-    {!Indaas_resilience.Degradation} record reporting how many
-    admitted requests were actually served. *)
+    stack — is a deterministic function of the request stream. *)
 
 module Vclock := Indaas_resilience.Vclock
-module Degradation := Indaas_resilience.Degradation
 
 type t
 
-val create : ?clock:Vclock.t -> ?max_queue:int -> ?default_deadline:float ->
-  unit -> t
-(** [max_queue] bounds the pending-request count (default 64;
-    [Invalid_argument] if non-positive). [default_deadline] (virtual
-    seconds, measured from admission to dispatch) applies to requests
-    that state none; absent by default, meaning no deadline. *)
+val create : ?max_queue:int -> ?default_deadline:float -> unit -> t
+(** [max_queue] bounds the admitted requests waiting to run (default
+    64; [Invalid_argument] if non-positive). [default_deadline]
+    (virtual seconds, measured from admission to dispatch; negative is
+    [Invalid_argument]) applies to requests that state none; absent by
+    default, meaning no deadline. *)
 
 val clock : t -> Vclock.t
 
@@ -37,15 +33,18 @@ val submit :
   unit ->
   unit
 (** Enqueue a job. [cost] is the virtual seconds its execution
-    charges. When the queue is full, [shed ~reason:"overloaded"] fires
-    immediately and the job is never run. *)
+    charges. When [max_queue] admitted jobs are already waiting, the
+    job is refused: it is counted as [shed_overload] now, never runs,
+    and its [shed ~reason:"overloaded"] fires at its turn in
+    {!run_all}. *)
 
 val run_all : t -> unit
-(** Dispatch the queue in FIFO order: each job either runs (advancing
-    the clock by its cost) or, if its deadline expired while queued,
-    its [shed ~reason:"deadline-exceeded"] fires instead. A raising
-    job propagates its exception; jobs not yet dispatched remain
-    queued. *)
+(** Dispatch the queue in FIFO order: each admitted job either runs
+    (advancing the clock by its cost) or, if its deadline expired
+    while queued, its [shed ~reason:"deadline-exceeded"] fires
+    instead; each refused job's [shed ~reason:"overloaded"] fires. A
+    raising callback propagates its exception; jobs not yet dispatched
+    remain queued. *)
 
 type stats = {
   submitted : int;
@@ -57,7 +56,3 @@ type stats = {
 
 val stats : t -> stats
 val stats_to_json : stats -> Indaas_util.Json.t
-
-val degradation : t -> Degradation.t option
-(** [None] until something was shed; then a record whose completeness
-    is the served fraction of submitted requests. *)

@@ -316,72 +316,58 @@ let deadline_of (req : Frame.request) =
 let serve t transport =
   let dec = Frame.decoder () in
   let buf = Bytes.create 8192 in
-  (* Response slots in arrival order: every admitted, shed or
-     malformed request gets exactly one, filled by the time the queue
-     drains. *)
-  let slots = ref [] in
-  let push_slot () =
-    let slot = ref None in
-    slots := slot :: !slots;
-    slot
+  let reply response =
+    transport.Transport.write (Frame.encode_response response)
   in
-  let stop = ref None in
-  let stream_error = ref None in
+  (* The server's own answers go out after every queued job's, so
+     responses keep arrival order. *)
+  let answer response =
+    Scheduler.run_all t.sched;
+    reply response
+  in
+  let bad_frame id msg = answer (error_response id "bad-frame" msg) in
+  (* Admit one frame; [false] once it asked to shut down. *)
   let admit json =
     match Frame.request_of_json json with
+    | { Frame.meth = "shutdown"; _ } as req ->
+        answer (handle t req);
+        false
     | req ->
-        let slot = push_slot () in
-        if req.Frame.meth = "shutdown" then begin
-          (* Answer immediately and stop accepting input; already
-             admitted work still runs. *)
-          slot := Some (handle t req);
-          stop := Some `Shutdown
-        end
-        else
-          Scheduler.submit t.sched ?deadline:(deadline_of req)
-            ~cost:(cost_of req.Frame.meth)
-            ~run:(fun () -> slot := Some (handle t req))
-            ~shed:(fun ~reason ->
-              slot :=
-                Some
-                  (error_response req.Frame.id reason
-                     (Printf.sprintf "request shed by the scheduler: %s"
-                        reason)))
-            ()
+        Scheduler.submit t.sched ?deadline:(deadline_of req)
+          ~cost:(cost_of req.Frame.meth)
+          ~run:(fun () -> reply (handle t req))
+          ~shed:(fun ~reason ->
+            reply
+              (error_response req.Frame.id reason
+                 (Printf.sprintf "request shed by the scheduler: %s" reason)))
+          ();
+        true
     | exception Frame.Bad_frame msg ->
-        let id =
-          match Json.member "id" json with Some (Json.Int i) -> i | _ -> -1
-        in
-        let slot = push_slot () in
-        slot := Some (error_response id "bad-frame" msg)
+        bad_frame
+          (match Json.member "id" json with Some (Json.Int i) -> i | _ -> -1)
+          msg;
+        true
   in
-  (try
-     while !stop = None do
-       match Frame.next dec with
-       | Some json -> admit json
-       | None ->
-           let n = transport.Transport.read buf 0 (Bytes.length buf) in
-           if n = 0 then stop := Some `Eof
-           else Frame.feed dec (Bytes.sub_string buf 0 n)
-     done;
-     (* [next] returned None right before the EOF read, so no complete
-        frame can be pending — leftover bytes are a truncated frame.
-        After a shutdown, leftover input is deliberately dropped. *)
-     if !stop = Some `Eof && Frame.pending_bytes dec > 0 then
-       stream_error :=
-         Some
-           (Printf.sprintf "truncated frame: %d byte(s) at end of stream"
-              (Frame.pending_bytes dec))
-   with Frame.Protocol_error msg -> stream_error := Some msg);
-  Scheduler.run_all t.sched;
-  (match !stream_error with
-  | Some msg -> (push_slot ()) := Some (error_response (-1) "bad-frame" msg)
-  | None -> ());
-  List.iter
-    (fun slot ->
-      match !slot with
-      | Some response ->
-          transport.Transport.write (Frame.encode_response response)
-      | None -> ())
-    (List.rev !slots);
+  (* Admit every frame the bytes read so far complete, answer them,
+     and only then block for more input. Input after a shutdown is
+     deliberately dropped. *)
+  let rec loop () =
+    match Frame.next dec with
+    | Some json -> if admit json then loop ()
+    | exception Frame.Protocol_error msg -> bad_frame (-1) msg
+    | None ->
+        Scheduler.run_all t.sched;
+        let n = transport.Transport.read buf 0 (Bytes.length buf) in
+        if n > 0 then begin
+          Frame.feed dec (Bytes.sub_string buf 0 n);
+          loop ()
+        end
+        else if Frame.pending_bytes dec > 0 then
+          (* [next] returned None right before the EOF read, so the
+             leftover bytes are a truncated frame. *)
+          bad_frame (-1)
+            (Printf.sprintf "truncated frame: %d byte(s) at end of stream"
+               (Frame.pending_bytes dec))
+  in
+  loop ();
   transport.Transport.close ()

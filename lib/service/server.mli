@@ -28,9 +28,11 @@
 
     Every request is dispatched inside a [service.request] span and
     counted; cache and scheduler activity surfaces as
-    [service.cache.*] / [service.sched.*] metrics. Responses are a
-    deterministic function of (request stream, seed): byte-identical
-    across runs, same contract as chaos/obs. *)
+    [service.cache.*] / [service.sched.*] metrics. Whenever nothing is
+    shed, the response bytes are a deterministic function of (request
+    bytes, seed), however the transport splits them: byte-identical
+    across runs, same contract as chaos/obs. Which requests are shed
+    depends on which frames arrive in one read. *)
 
 type config = {
   seed : int;  (** default audit seed when a request states none *)
@@ -57,11 +59,16 @@ val handle : t -> Frame.request -> Frame.response
     responses. *)
 
 val serve : t -> Transport.t -> unit
-(** One-shot serving: read frames until end of stream (or a
-    [shutdown] request), admitting each through the scheduler, then
-    dispatch the queue and write every response — in request arrival
-    order — before returning. A corrupt frame stream produces a final
-    [id = -1] [bad-frame] error response for the undecodable suffix. *)
+(** Serve one stream until end of input (or a [shutdown] request).
+    After each read, every frame the bytes so far complete is admitted
+    through the scheduler and answered, in arrival order, before
+    [serve] blocks for the next read; the queue bound and deadlines
+    therefore apply to the frames that arrive together. Answers the
+    server gives itself — a malformed frame's [bad-frame] error, the
+    [shutdown] reply — wait for the queued work first. A corrupt frame
+    stream, or a truncated frame at end of input, earns a final
+    [id = -1] [bad-frame] error; input after a [shutdown] is dropped.
+    Closes the transport before returning. *)
 
 val scheduler : t -> Scheduler.t
 val cache_stats : t -> Cache.stats

@@ -1,9 +1,8 @@
-(** Minimal JSON emitter (no parser) for machine-readable reports.
+(** Minimal JSON: an emitter for machine-readable reports and a strict
+    parser for reading them (and wire frames) back.
 
-    Deliberately tiny: auditing reports need to be consumed by
-    dashboards and ticketing systems, not round-tripped. Numbers are
-    emitted with enough precision to reconstruct doubles; strings are
-    escaped per RFC 8259. *)
+    Numbers are emitted with enough precision to reconstruct doubles;
+    strings are escaped per RFC 8259. *)
 
 type t =
   | Null
@@ -24,9 +23,9 @@ val escape_string : string -> string
 
 (** {1 Parsing}
 
-    A strict RFC 8259 recursive-descent parser, added so diagnostics
-    (and other machine-readable reports) can be round-tripped in
-    tests and consumed back from files. *)
+    A strict RFC 8259 recursive-descent parser: it decodes the wire
+    protocol's frames, and lets diagnostics and other machine-readable
+    reports be round-tripped in tests and consumed back from files. *)
 
 exception Parse_error of string
 
