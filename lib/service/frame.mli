@@ -64,6 +64,9 @@ val encode_request : request -> string
 (** A complete frame: prefix plus compact JSON. *)
 
 val encode_response : response -> string
+(** Same for a response. Raises {!Protocol_error} if the payload
+    exceeds {!max_frame}; the server answers such a response with a
+    [response-too-large] error frame instead. *)
 
 (** {1 Decoding} *)
 

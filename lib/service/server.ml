@@ -130,15 +130,16 @@ let unknown_snapshot name =
     name
 
 (* The stored digest alone keys the cache, so a hit never touches the
-   records; the union DepDB is rebuilt only inside the miss thunk. *)
+   records. A miss builds a DepDB of only the deployment's servers'
+   records ({!Snapshot.footprint}), never the union. *)
 let snapshot_digest t name =
   match Snapshot.digest t.store ~snapshot:name with
   | Some digest -> digest
   | None -> unknown_snapshot name
 
-let snapshot_db t name =
-  match Snapshot.get t.store ~snapshot:name with
-  | Some view -> view.Snapshot.db
+let footprint_db t name ~machines =
+  match Snapshot.footprint t.store ~snapshot:name ~machines with
+  | Some db -> db
   | None -> unknown_snapshot name
 
 (* Audit computations can die many ways; every one must come back as
@@ -187,7 +188,8 @@ let submit_deps t params =
     @ [ ("invalidated", Json.Int invalidated) ])
 
 (* The audit-shaped methods: decode the spec, answer from the cache,
-   and on a miss run [compute] over the snapshot's DepDB. The engine
+   and on a miss run [compute] over the DepDB of the servers the
+   request names (all candidates' servers for [compare]). The engine
    and family budget live in their own cache-key fields; the spec
    digest covers the rest of the request. *)
 let audit_method t ~meth ?candidates ~servers params compute =
@@ -204,7 +206,10 @@ let audit_method t ~meth ?candidates ~servers params compute =
     }
   in
   cached t key @@ fun () ->
-  let db = snapshot_db t snapshot in
+  let machines =
+    match candidates with Some c -> List.concat c | None -> servers
+  in
+  let db = footprint_db t snapshot ~machines in
   guarded @@ fun () -> compute db p
 
 let audit t params =
@@ -316,8 +321,15 @@ let deadline_of (req : Frame.request) =
 let serve t transport =
   let dec = Frame.decoder () in
   let buf = Bytes.create 8192 in
-  let reply response =
-    transport.Transport.write (Frame.encode_response response)
+  (* A payload too large for one frame is answered with an error, so
+     the daemon and the frames queued behind it live on. *)
+  let reply (response : Frame.response) =
+    transport.Transport.write
+      (match Frame.encode_response response with
+      | bytes -> bytes
+      | exception Frame.Protocol_error msg ->
+          Frame.encode_response
+            (error_response response.Frame.id "response-too-large" msg))
   in
   (* The server's own answers go out after every queued job's, so
      responses keep arrival order. *)

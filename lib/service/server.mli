@@ -68,7 +68,9 @@ val serve : t -> Transport.t -> unit
     [shutdown] reply — wait for the queued work first. A corrupt frame
     stream, or a truncated frame at end of input, earns a final
     [id = -1] [bad-frame] error; input after a [shutdown] is dropped.
-    Closes the transport before returning. *)
+    A response whose payload exceeds {!Frame.max_frame} is answered
+    with a [response-too-large] error for its id, and serving goes
+    on. Closes the transport before returning. *)
 
 val scheduler : t -> Scheduler.t
 val cache_stats : t -> Cache.stats

@@ -2,6 +2,7 @@ module Depdb = Indaas_depdata.Depdb
 module Dependency = Indaas_depdata.Dependency
 module Json = Indaas_util.Json
 module SM = Map.Make (String)
+module SS = Set.Make (String)
 
 type info = {
   version : int;
@@ -74,6 +75,24 @@ let get store ~snapshot =
         db;
         sources = info.sources;
       })
+    (SM.find_opt snapshot store.snaps)
+
+(* The union restricted to [machines]' records: the same scan in the
+   same order, so each machine's per-kind record lists (and the
+   [server/pathN] gate names they induce) are exactly the union's. *)
+let footprint store ~snapshot ~machines =
+  Option.map
+    (fun { by_source; _ } ->
+      let wanted = SS.of_list machines in
+      let db = Depdb.create () in
+      SM.iter
+        (fun _ records ->
+          List.iter
+            (fun r ->
+              if SS.mem (Dependency.subject r) wanted then Depdb.add db r)
+            records)
+        by_source;
+      db)
     (SM.find_opt snapshot store.snaps)
 
 let submit store ~snapshot ~source records =

@@ -14,6 +14,9 @@ module Cache = Indaas_service.Cache
 module Scheduler = Indaas_service.Scheduler
 module Server = Indaas_service.Server
 module Client = Indaas_service.Client
+module Builder = Indaas_sia.Builder
+module Fattree = Indaas_topology.Fattree
+module Collectors = Indaas_depdata.Collectors
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -835,6 +838,7 @@ let batch f =
   | exception Invalid_argument _ -> Error "bad-request"
   | exception Indaas_faultgraph.Cutset.Too_many_cut_sets _ ->
       Error "budget-exceeded"
+  | exception Failure _ -> Error "audit-error"
 
 let prop_serve_audit_equals_batch =
   QCheck.Test.make ~name:"served audit equals the batch report" ~count:150
@@ -859,6 +863,184 @@ let prop_serve_compare_equals_batch =
             Sia_report.comparison_to_json
               (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db
                  ~candidates:c.candidates (Params.request p))))
+
+(* --- a miss reads only the deployment's records -------------------------- *)
+
+(* Random multi-source snapshots over servers m0-m4: each record goes
+   to one or two sources, so a record often sits in two sources (or
+   twice in one); routes name devices and other servers; m4 and "ghost"
+   own no records. Queries audit, rg-query or compare deployments of
+   those servers. *)
+type footprint_query =
+  | Audit of string list
+  | Rg_query of string list
+  | Compare of string list list
+
+type footprint_case = {
+  sources : (string * Dependency.t list) list;
+  queries : (footprint_query * Client.audit_options) list;
+}
+
+let footprint_request id (query, options) =
+  match query with
+  | Audit servers -> Client.audit ~id ~options ~servers ()
+  | Rg_query servers -> Client.rg_query ~id ~options ~servers ()
+  | Compare candidates -> Client.compare_deployments ~id ~options ~candidates ()
+
+let gen_footprint_case =
+  let open QCheck.Gen in
+  let owner = map (Printf.sprintf "m%d") (int_bound 3) in
+  let server =
+    frequency [ (16, owner); (1, return "m4"); (1, return "ghost") ]
+  in
+  let device = oneof [ map (Printf.sprintf "d%d") (int_bound 5); server ] in
+  let package = map (Printf.sprintf "p%d") (int_bound 3) in
+  let record =
+    oneof
+      [
+        map2
+          (fun src route -> Dependency.network ~src ~dst:"I" ~route)
+          owner
+          (list_size (int_range 1 3) device);
+        map2
+          (fun hw dep -> Dependency.hardware ~hw ~hw_type:"Disk" ~dep)
+          owner device;
+        map2
+          (fun (pgm, host) deps -> Dependency.software ~pgm ~host ~deps)
+          (pair package owner)
+          (list_size (int_bound 2) package);
+      ]
+  in
+  (* Every owner has a disk, so most deployments can be built. *)
+  let* disks =
+    flatten_l
+      (List.init 4 (fun i ->
+           map
+             (fun dep ->
+               Dependency.hardware ~hw:(Printf.sprintf "m%d" i) ~hw_type:"Disk"
+                 ~dep)
+             device))
+  in
+  let* extra = list_size (int_bound 10) record in
+  let* names = shuffle_l [ "apt"; "lshw"; "nsd" ] in
+  let* n = int_range 1 3 in
+  let* placed =
+    flatten_l
+      (List.map
+         (fun r ->
+           map
+             (List.map (fun i -> (i, r)))
+             (list_size (int_range 1 2) (int_bound (n - 1))))
+         (disks @ extra))
+  in
+  let placed = List.concat placed in
+  let sources =
+    List.filteri (fun i _ -> i < n) names
+    |> List.mapi (fun i name ->
+           ( name,
+             List.filter_map
+               (fun (j, r) -> if i = j then Some r else None)
+               placed ))
+  in
+  let deployment = list_size (int_range 1 3) server in
+  let query =
+    oneof
+      [
+        map (fun s -> Audit s) deployment;
+        map (fun s -> Rg_query s) deployment;
+        map (fun c -> Compare c) (list_size (int_range 1 3) deployment);
+      ]
+  in
+  let options =
+    let* required = opt (int_range 1 2) in
+    let* algorithm = opt (oneofl (List.map snd Params.algorithms)) in
+    let* max_family = opt (oneofl [ 1; 1_000_000 ]) in
+    let+ seed = opt (int_bound 10_000) in
+    { Client.audit_options with required; algorithm; max_family; seed }
+  in
+  let+ queries = list_size (int_range 1 4) (pair query options) in
+  { sources; queries }
+
+let arb_footprint_case =
+  QCheck.make gen_footprint_case ~print:(fun c ->
+      String.concat "\n"
+        (List.map
+           (fun (name, records) ->
+             Printf.sprintf "-- %s\n%s" name (Dependency.to_xml_many records))
+           c.sources
+        @ List.map
+            (fun q ->
+              Json.to_string (Frame.request_to_json (footprint_request 0 q)))
+            c.queries))
+
+(* The batch path over the snapshot's whole union, for one query. *)
+let batch_of_union db (query, options) =
+  match query with
+  | Audit servers ->
+      let p = params_of_options servers options in
+      batch (fun () ->
+          Sia_report.deployment_to_json
+            (Sia_audit.audit ~rng:(Prng.of_int p.seed) db (Params.request p)))
+  | Rg_query servers ->
+      let p = params_of_options servers options in
+      batch (fun () ->
+          let { Sia_audit.spec; algorithm; _ } = Params.request p in
+          let graph = Builder.build db spec in
+          let rgs =
+            Sia_audit.risk_groups ~rng:(Prng.of_int p.seed) algorithm graph
+          in
+          Json.Obj
+            [
+              ("count", Json.Int (List.length rgs));
+              ("expected_size", Json.Int (Builder.expected_rg_size spec));
+              ( "risk_groups",
+                Json.List
+                  (List.map
+                     (fun rg ->
+                       Json.List
+                         (List.map
+                            (fun n -> Json.String n)
+                            (Indaas_faultgraph.Cutset.names graph rg)))
+                     rgs) );
+            ])
+  | Compare candidates ->
+      let p = params_of_options [] options in
+      batch (fun () ->
+          Sia_report.comparison_to_json
+            (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db
+               ~candidates (Params.request p)))
+
+let prop_footprint_equals_union =
+  QCheck.Test.make ~name:"a footprint miss answers as the union would"
+    ~count:300 arb_footprint_case (fun c ->
+      let srv = Server.create () and store = Snapshot.create () in
+      List.iteri
+        (fun i (source, records) ->
+          let records = Dependency.to_xml_many records in
+          ignore
+            (ok_exn
+               (Server.handle srv
+                  (Client.submit_deps ~id:i ~source ~records ())));
+          ignore
+            (Snapshot.update store ~snapshot:"default" ~source
+               (Dependency.of_xml_many records)))
+        c.sources;
+      let union = (Option.get (Snapshot.get store ~snapshot:"default")).db in
+      let machines = [ "m0"; "m1"; "m2"; "m3"; "m4"; "ghost" ] in
+      let foot =
+        Option.get (Snapshot.footprint store ~snapshot:"default" ~machines)
+      in
+      List.for_all
+        (fun machine ->
+          Depdb.network_paths foot ~src:machine
+          = Depdb.network_paths union ~src:machine
+          && Depdb.hardware_of foot ~machine = Depdb.hardware_of union ~machine
+          && Depdb.software_on foot ~machine = Depdb.software_on union ~machine)
+        machines
+      && List.for_all
+           (fun q ->
+             served srv (footprint_request 1 q) = batch_of_union union q)
+           c.queries)
 
 (* Serving over the loopback: write the whole request stream, serve it
    in reads of at most [chunk] bytes, then collect the response bytes. *)
@@ -997,6 +1179,69 @@ let test_serve_streams () =
     (List.map (fun (r : Frame.response) -> r.Frame.id) replies);
   List.iter (fun r -> ignore (ok_exn r)) replies
 
+(* Three k=8 fat-tree servers in different pods, with routes, lshw
+   hardware and a small package closure: a 1-of-3 audit of them has
+   thousands of risk groups. *)
+let k8_records =
+  let tree = Fattree.create ~k:8 in
+  let servers = List.map (Fattree.server_name tree) [ 0; 16; 32 ] in
+  let lshw = Collectors.lshw (List.map Collectors.standard_profile servers) in
+  ( servers,
+    Dependency.to_xml_many
+      (List.concat_map
+         (fun i -> Fattree.network_records tree ~server:i)
+         [ 0; 16; 32 ]
+      @ lshw.Collectors.collect ()
+      @ List.map
+          (fun host ->
+            Dependency.software ~pgm:"riak" ~host
+              ~deps:[ "libc6"; host ^ "-conf" ])
+          servers) )
+
+(* A response over the frame limit is answered with an error frame,
+   and the frames queued behind it are still served. *)
+let test_serve_oversized_response () =
+  let servers, records = k8_records in
+  let options = { Client.audit_options with required = Some 1 } in
+  let one =
+    Frame.encode_response
+      {
+        Frame.id = 2;
+        result =
+          Ok
+            (ok_exn
+               (Server.handle (server_of_records records)
+                  (Client.audit ~id:2 ~options ~servers ())));
+      }
+  in
+  let repeats = (Frame.max_frame / String.length one) + 1 in
+  let responses =
+    Client.decode_responses
+      (serve_bytes
+         (encode_requests
+            [
+              Client.submit_deps ~id:1 ~source:"db" ~records ();
+              Client.compare_deployments ~id:2 ~options
+                ~candidates:(List.init repeats (fun _ -> servers))
+                ();
+              Client.stats ~id:3;
+              Client.shutdown ~id:4;
+            ]))
+  in
+  let codes =
+    List.map
+      (fun (r : Frame.response) ->
+        match r.Frame.result with
+        | Ok _ -> (r.Frame.id, "ok")
+        | Error e -> (r.Frame.id, e.Frame.code))
+      responses
+  in
+  check
+    Alcotest.(list (pair int string))
+    "the oversized answer is an error, the rest are served"
+    [ (1, "ok"); (2, "response-too-large"); (3, "ok"); (4, "ok") ]
+    codes
+
 (* --- the serve boundary ------------------------------------------------- *)
 
 (* One session through every method, under the default config so
@@ -1093,6 +1338,7 @@ let () =
             test_compare_keys_nested_candidates;
           qtest prop_serve_audit_equals_batch;
           qtest prop_serve_compare_equals_batch;
+          qtest prop_footprint_equals_union;
           Alcotest.test_case "serve end to end" `Quick test_serve_end_to_end;
           Alcotest.test_case "serve deterministic" `Quick test_serve_deterministic;
           Alcotest.test_case "truncated stream" `Quick test_serve_truncated_stream;
@@ -1100,6 +1346,8 @@ let () =
             test_serve_sheds_over_capacity;
           Alcotest.test_case "serve streams over a pipe" `Quick
             test_serve_streams;
+          Alcotest.test_case "oversized response" `Quick
+            test_serve_oversized_response;
           qtest prop_serve_chunking_invariant;
           qtest prop_serve_survives_mutations;
         ] );
