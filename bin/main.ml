@@ -814,10 +814,7 @@ let importance_cmd =
         ~component_probability:(Builder.uniform_probability prob) servers
     in
     let graph = Builder.build db spec in
-    let rgs =
-      with_budget_errors (fun () ->
-          Indaas_faultgraph.Cutset.minimal_risk_groups graph)
-    in
+    let rgs = Sia_audit.risk_groups Sia_audit.auto_rg graph in
     Printf.printf "Pr(deployment fails) = %.6g (exact, BDD)\n\n"
       (Indaas_faultgraph.Bdd.graph_probability graph);
     print_endline
@@ -892,10 +889,7 @@ let coverage_cmd =
     let db = load_db db in
     let graph = Builder.build db (Builder.spec ~required servers) in
     let rng = Indaas_util.Prng.of_int seed in
-    let rgs =
-      with_budget_errors (fun () ->
-          Indaas_faultgraph.Cutset.minimal_risk_groups graph)
-    in
+    let rgs = Sia_audit.risk_groups Sia_audit.auto_rg graph in
     Printf.printf "%d minimal risk groups (exact)\n" (List.length rgs);
     let points =
       Indaas_faultgraph.Sampling.coverage ~failure_bias:bias rng graph

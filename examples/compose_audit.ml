@@ -12,6 +12,7 @@ module Graph = Indaas_faultgraph.Graph
 module Cutset = Indaas_faultgraph.Cutset
 module Compose = Indaas_faultgraph.Compose
 module Probability = Indaas_faultgraph.Probability
+module Bdd = Indaas_faultgraph.Bdd
 
 let print_rgs g =
   let rgs = Cutset.minimal_risk_groups g in
@@ -43,8 +44,7 @@ let () =
   print_endline "     instances share their storage backend (the 2012 US-East event).";
   print_endline "";
 
-  let rgs = Cutset.minimal_risk_groups combined in
-  let pr = Probability.top_probability_exact combined ~rgs in
+  let pr = Bdd.graph_probability combined in
   Printf.printf "  Pr(service fails) = %.4f; the shared backend contributes %.0f%%\n"
     pr
     (100.

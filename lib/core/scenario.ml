@@ -36,7 +36,7 @@ let rack_of_server_name name =
   | Some i -> int_of_string (String.sub name (i + 1) (String.length name - i - 1))
   | None -> invalid_arg ("Scenario.rack_of_server_name: " ^ name)
 
-let run_network_case ?(algorithm = Sia_audit.minimal_rg)
+let run_network_case ?(algorithm = Sia_audit.auto_rg)
     ?(rng = Prng.of_int 0x6201) () =
   let dc = Datacenter.create () in
   let db = network_case_database () in

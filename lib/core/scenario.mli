@@ -21,9 +21,10 @@ type network_case = {
 val run_network_case :
   ?algorithm:Sia_audit.rg_algorithm -> ?rng:Indaas_util.Prng.t -> unit ->
   network_case
-(** Default algorithm: exact minimal-RG (the graphs are small). The
-    paper ran failure sampling with 10^6 rounds; pass
-    [~algorithm:(Sia_audit.failure_sampling ~rounds:...)] to match. *)
+(** Default algorithm: {!Sia_audit.auto_rg}, the exact minimal RGs.
+    The paper ran failure sampling with 10^6 rounds; pass
+    [~algorithm:(Sia_audit.failure_sampling ~rounds:...)] to match
+    ([rng] drives it). *)
 
 (** {1 §6.2.2 — common hardware dependency} *)
 

@@ -14,6 +14,7 @@ type manager = {
   unique : (int * int * int, int) Hashtbl.t; (* (var, low, high) -> node *)
   apply_cache : (int * int * int, int) Hashtbl.t; (* (op, a, b) -> node *)
   rank_to_basic : Graph.node_id array;
+  rank_of : (Graph.node_id, int) Hashtbl.t; (* basic event -> rank *)
   (* Minimal-solutions (Rauzy) pass: cut-set families live in a
      zero-suppressed sub-store of the same manager. ZDD node 0 is the
      empty family, node 1 the family {∅}; a decision node (x, lo, hi)
@@ -30,7 +31,7 @@ type manager = {
 let terminal_false = 0
 let terminal_true = 1
 
-let create rank_to_basic =
+let create rank_of rank_to_basic =
   let initial = 1024 in
   let m =
     {
@@ -41,6 +42,7 @@ let create rank_to_basic =
       unique = Hashtbl.create 1024;
       apply_cache = Hashtbl.create 4096;
       rank_to_basic;
+      rank_of;
       zvar = Array.make initial max_int;
       zlow = Array.make initial (-1);
       zhigh = Array.make initial (-1);
@@ -178,7 +180,7 @@ let of_graph g =
   let basics = Graph.basic_ids g in
   let rank_of = Hashtbl.create (Array.length basics) in
   Array.iteri (fun rank id -> Hashtbl.replace rank_of id rank) basics;
-  let m = create (Array.copy basics) in
+  let m = create rank_of (Array.copy basics) in
   let memo : node option array = Array.make (Graph.node_count g) None in
   Array.iter
     (fun id ->
@@ -247,10 +249,7 @@ let probability m node ~prob_of =
 
 let graph_probability g =
   let m, top = of_graph g in
-  probability m top ~prob_of:(fun id ->
-      match Graph.prob_of g id with
-      | Some p -> p
-      | None -> raise (Probability.Missing_probability (Graph.name_of g id)))
+  probability m top ~prob_of:(Probability.prob_exn g)
 
 let sat_count m node ~vars =
   if vars < 0 then invalid_arg "Bdd.sat_count: negative vars";
@@ -422,6 +421,41 @@ let iter_family m f z =
     end
   in
   go [] z
+
+(* The family is first held as a ZDD (each RG a chain built
+   bottom-up, so every [zmk] is already in order), then turned into its
+   union function node by node: (x, lo, hi) denotes lo OR (x AND hi),
+   that is ite(x, lo OR hi, lo). OR-ing the RGs' cubes one by one
+   instead passes through intermediate unions far larger than the
+   result. *)
+let of_family m family =
+  let rank id =
+    match Hashtbl.find_opt m.rank_of id with
+    | Some r -> r
+    | None -> invalid_arg "Bdd.of_family: not a basic event of the graph"
+  in
+  let chain rg =
+    List.fold_right
+      (fun r acc -> zmk m r terminal_false acc)
+      (List.sort_uniq compare (List.map rank (Array.to_list rg)))
+      terminal_true
+  in
+  let z =
+    List.fold_left (fun acc rg -> zunion m acc (chain rg)) terminal_false family
+  in
+  let memo = Hashtbl.create 64 in
+  let rec bdd z =
+    if z <= terminal_true then z
+    else
+      match Hashtbl.find_opt memo z with
+      | Some n -> n
+      | None ->
+          let lo = bdd m.zlow.(z) in
+          let n = mk m m.zvar.(z) lo (apply m Op_or lo (bdd m.zhigh.(z))) in
+          Hashtbl.replace memo z n;
+          n
+  in
+  bdd z
 
 let minimal_rg_count g =
   let m, top = of_graph g in

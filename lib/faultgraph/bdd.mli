@@ -5,8 +5,10 @@
     methods: compile the top event's structure function into a reduced
     ordered BDD, then compute the exact top-event probability in time
     linear in the BDD — no 2^m inclusion–exclusion over minimal risk
-    groups, no Monte-Carlo error. This module provides that third
-    exact path and the ablation benchmark compares all three.
+    groups, no Monte-Carlo error. It is the one engine behind every
+    [Pr(T)] and importance the audit and importance paths report; the
+    ablation benchmark compares it with the inclusion–exclusion and
+    Monte-Carlo baselines of {!Probability}.
 
     Variables are the graph's basic events, ordered by topological
     position. Hash-consing keeps the diagram reduced; [apply] is
@@ -36,6 +38,13 @@ val graph_probability : Graph.t -> float
     probabilities. Raises
     {!Probability.Missing_probability} if a reachable basic event
     has none. *)
+
+val of_family : manager -> Cutset.rg list -> node
+(** The union of the family's RG events — the OR over its RGs of the
+    AND of each RG's basic events — compiled in the manager's variable
+    order. Its {!probability} is the exact [Pr(∪ family)], with no
+    2^m inclusion–exclusion terms. Raises [Invalid_argument] on an
+    event that is not a reachable basic event of the compiled graph. *)
 
 val sat_count : manager -> node -> vars:int -> float
 (** Number of failure states: assignments of [vars] variables under

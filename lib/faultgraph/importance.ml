@@ -5,37 +5,48 @@ type component_importance = {
   fussell_vesely : float;
 }
 
-let prob_exn g id =
-  match Graph.prob_of g id with
-  | Some p -> p
-  | None -> raise (Probability.Missing_probability (Graph.name_of g id))
+(* One compiled BDD answers Pr(T), both Birnbaum conditionals and
+   every Fussell-Vesely numerator: the union of a component's RGs is
+   compiled into the same manager. *)
+type compiled = { g : Graph.t; m : Bdd.manager; top : Bdd.node }
 
-let conditioned_probability g ~component ~value =
+let compile g =
   let m, top = Bdd.of_graph g in
-  Bdd.probability m top ~prob_of:(fun id ->
-      if id = component then (if value then 1. else 0.) else prob_exn g id)
+  { g; m; top }
 
-let birnbaum g ~component =
-  conditioned_probability g ~component ~value:true
-  -. conditioned_probability g ~component ~value:false
+let probability b node =
+  Bdd.probability b.m node ~prob_of:(Probability.prob_exn b.g)
 
-let fussell_vesely ?max_terms g ~rgs ~component =
-  let containing =
-    List.filter (fun rg -> Array.exists (fun id -> id = component) rg) rgs
-  in
-  let top = Probability.top_probability_exact ?max_terms g ~rgs in
+let conditioned b ~component ~value =
+  Bdd.probability b.m b.top ~prob_of:(fun id ->
+      if id = component then (if value then 1. else 0.)
+      else Probability.prob_exn b.g id)
+
+let birnbaum_of b component =
+  conditioned b ~component ~value:true -. conditioned b ~component ~value:false
+
+let fussell_vesely_of b ~top ~rgs component =
   if top <= 0. then 0.
   else
-    Probability.top_probability_exact ?max_terms g ~rgs:containing /. top
+    let containing = List.filter (Array.exists (( = ) component)) rgs in
+    probability b (Bdd.of_family b.m containing) /. top
 
-let rank_components ?max_terms g ~rgs =
+let birnbaum g ~component = birnbaum_of (compile g) component
+
+let fussell_vesely g ~rgs ~component =
+  let b = compile g in
+  fussell_vesely_of b ~top:(probability b b.top) ~rgs component
+
+let rank_components g ~rgs =
+  let b = compile g in
+  let top = probability b b.top in
   Array.to_list (Graph.basic_ids g)
   |> List.map (fun component ->
          {
            component;
            component_name = Graph.name_of g component;
-           birnbaum = birnbaum g ~component;
-           fussell_vesely = fussell_vesely ?max_terms g ~rgs ~component;
+           birnbaum = birnbaum_of b component;
+           fussell_vesely = fussell_vesely_of b ~top ~rgs component;
          })
   |> List.sort (fun a b ->
          match compare b.birnbaum a.birnbaum with

@@ -10,8 +10,12 @@
       exactly on the BDD.
     - {b Fussell–Vesely} importance: [Pr(∪ RGs containing c) / Pr(T)]
       — the share of system failure risk flowing through the
-      component. Computed by inclusion–exclusion over the minimal RGs
-      containing the component.
+      component. Exact: the union of the minimal RGs containing the
+      component is compiled into the graph's BDD ({!Bdd.of_family}),
+      so there is no 2^m inclusion–exclusion term.
+
+    Each call compiles the graph's BDD once and reads [Pr(T)], the
+    Birnbaum conditionals and the Fussell–Vesely numerators from it.
 
     All functions require every reachable basic event to carry a
     failure probability
@@ -28,17 +32,11 @@ val birnbaum : Graph.t -> component:Graph.node_id -> float
 (** Exact, via BDD conditioning. *)
 
 val fussell_vesely :
-  ?max_terms:int ->
-  Graph.t ->
-  rgs:Cutset.rg list ->
-  component:Graph.node_id ->
-  float
-(** [rgs] must be the complete minimal RG list. Inclusion–exclusion
-    over the RGs containing the component; [max_terms] bounds the
-    2^m blow-up as in {!Probability.top_probability_exact}. *)
+  Graph.t -> rgs:Cutset.rg list -> component:Graph.node_id -> float
+(** [rgs] must be the complete minimal RG list. [0.] when
+    [Pr(T) = 0]. *)
 
-val rank_components :
-  ?max_terms:int -> Graph.t -> rgs:Cutset.rg list -> component_importance list
+val rank_components : Graph.t -> rgs:Cutset.rg list -> component_importance list
 (** All reachable basic events, sorted by Birnbaum importance
     descending (ties by name). *)
 

@@ -51,10 +51,6 @@ let top_probability_mc ?(rounds = 200_000) rng g =
   done;
   float_of_int !hits /. float_of_int rounds
 
-let top_probability ?(exact_limit = 20) rng g ~rgs =
-  if List.length rgs <= exact_limit then top_probability_exact g ~rgs
-  else top_probability_mc rng g
-
 let relative_importance ~top_probability ~rg_probability =
   if top_probability <= 0. then invalid_arg "Probability.relative_importance: Pr(T) = 0";
   rg_probability /. top_probability

@@ -26,7 +26,7 @@ type request = {
   ranking : ranking;
 }
 
-let request ?required ?component_probability ?(algorithm = minimal_rg)
+let request ?required ?component_probability ?(algorithm = auto_rg)
     ?(ranking = Size_based) servers =
   {
     spec = Builder.spec ?required ?component_probability servers;
@@ -92,10 +92,9 @@ let audit ?(rng = default_rng ()) db request =
         let ranked = Rank.size_based graph rgs in
         (ranked, Rank.independence_score_size ranked, None)
     | Probability_based ->
-        let ranked = Rank.probability_based rng graph rgs in
-        ( ranked,
-          Rank.independence_score_importance ranked,
-          Some (Rank.top_probability rng graph rgs) )
+        let top_probability = Bdd.graph_probability graph in
+        let ranked = Rank.probability_based ~top_probability graph rgs in
+        (ranked, Rank.independence_score_importance ranked, Some top_probability)
   in
   let expected_rg_size = Builder.expected_rg_size request.spec in
   (* Structural pre-checks ride along with every report (hints are

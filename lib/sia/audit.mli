@@ -58,8 +58,9 @@ val request :
   ?ranking:ranking ->
   string list ->
   request
-(** Defaults: exact minimal-RG algorithm, size-based ranking. Every
-    RG counts towards the independence score. *)
+(** Defaults: {!auto_rg} (the CLI's and the daemon's engine,
+    {!Params.default}), size-based ranking. Every RG counts towards
+    the independence score. *)
 
 type deployment_report = {
   servers : string list;
@@ -70,7 +71,9 @@ type deployment_report = {
           truly independent deployment *)
   independence_score : float;
   failure_probability : float option;
-      (** [Pr(T)] when probability ranking was used *)
+      (** exact [Pr(T)] from the BDD ({!Bdd.graph_probability}) when
+          probability ranking was used — whatever the RG algorithm,
+          so sampling does not lower it *)
   expected_rg_size : int;
   diagnostics : Indaas_lint.Diagnostic.t list;
       (** static-analysis findings over the deployment's fault graph
@@ -80,8 +83,9 @@ type deployment_report = {
 
 val audit :
   ?rng:Indaas_util.Prng.t -> Indaas_depdata.Depdb.t -> request -> deployment_report
-(** Audit one deployment. [rng] drives sampling and Monte-Carlo
-    estimation (defaults to a fixed seed for reproducibility). *)
+(** Audit one deployment. [rng] drives failure sampling only
+    (defaults to a fixed seed for reproducibility); every probability
+    in the report is exact. *)
 
 val compare_reports : deployment_report -> deployment_report -> int
 (** Deployment preference order for the final report: fewest

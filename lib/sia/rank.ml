@@ -26,16 +26,13 @@ let size_based g rgs =
          | 0 -> compare a.rg_names b.rg_names
          | c -> c)
 
-let top_probability rng g rgs = Probability.top_probability rng g ~rgs
-
-let probability_based rng g rgs =
-  let pr_top = top_probability rng g rgs in
+let probability_based ~top_probability g rgs =
   List.map
     (fun rg ->
       let p = Probability.rg_probability g rg in
       let importance =
-        if pr_top > 0. then
-          Some (Probability.relative_importance ~top_probability:pr_top ~rg_probability:p)
+        if top_probability > 0. then
+          Some (Probability.relative_importance ~top_probability ~rg_probability:p)
         else None
       in
       { (make g rg) with probability = Some p; importance })

@@ -16,15 +16,13 @@ val size_based : Graph.t -> Cutset.rg list -> ranked list
     deterministic name order. [probability]/[importance] are [None]. *)
 
 val probability_based :
-  Indaas_util.Prng.t -> Graph.t -> Cutset.rg list -> ranked list
-(** Descending by relative importance. Requires every basic event to
-    carry a probability ({!Indaas_faultgraph.Probability.Missing_probability}
-    otherwise). [Pr(T)] uses inclusion–exclusion when tractable,
-    Monte-Carlo otherwise. *)
-
-val top_probability :
-  Indaas_util.Prng.t -> Graph.t -> Cutset.rg list -> float
-(** The [Pr(T)] used by {!probability_based}. *)
+  top_probability:float -> Graph.t -> Cutset.rg list -> ranked list
+(** Descending by relative importance [I_C = Pr(C)/top_probability],
+    where [top_probability] is the deployment's exact [Pr(T)]
+    ({!Indaas_faultgraph.Bdd.graph_probability}); importances are
+    [None] when it is [0.]. Requires every RG event to carry a
+    probability ({!Indaas_faultgraph.Probability.Missing_probability}
+    otherwise). *)
 
 val independence_score_size : ?top_n:int -> ranked list -> float
 (** [indep(R) = Σ size(c_i)] over the first [top_n] ranked RGs

@@ -44,3 +44,47 @@ let gen_db =
           ]
       in
       list_size (int_range 1 10) record)
+
+(* Random weighted fault sets (Figure 4(b) shape): one to three
+   sources over six components, one probability per component name. *)
+let random_fault_sets rng =
+  let module Prng = Indaas_util.Prng in
+  let sources =
+    List.init
+      (1 + Prng.int rng 3)
+      (fun i ->
+        ( Printf.sprintf "E%d" i,
+          List.init
+            (1 + Prng.int rng 4)
+            (fun j -> (Printf.sprintf "c%d" (Prng.int rng 6), 0.1 +. (0.1 *. float_of_int j))) ))
+  in
+  (* dedup per-source components to avoid prob conflicts *)
+  let sources =
+    List.map
+      (fun (s, cs) ->
+        let seen = Hashtbl.create 8 in
+        ( s,
+          List.filter
+            (fun (c, _) ->
+              if Hashtbl.mem seen c then false
+              else begin
+                Hashtbl.add seen c ();
+                true
+              end)
+            cs ))
+      sources
+  in
+  (* assign a single consistent probability per name *)
+  let prob_of_name = Hashtbl.create 8 in
+  List.map
+    (fun (s, cs) ->
+      ( s,
+        List.map
+          (fun (c, p) ->
+            match Hashtbl.find_opt prob_of_name c with
+            | Some p0 -> (c, p0)
+            | None ->
+                Hashtbl.add prob_of_name c p;
+                (c, p))
+          cs ))
+    sources

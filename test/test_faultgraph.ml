@@ -416,16 +416,6 @@ let test_empty_rgs_probability () =
   let g = figure_4b () in
   check (Alcotest.float 1e-12) "no RGs" 0. (Probability.top_probability_exact g ~rgs:[])
 
-let test_dispatcher () =
-  let g = figure_4b () in
-  let rgs = Cutset.minimal_risk_groups g in
-  let rng = Prng.of_int 61 in
-  check (Alcotest.float 1e-12) "exact path" 0.224
-    (Probability.top_probability ~exact_limit:10 rng g ~rgs);
-  let approx = Probability.top_probability ~exact_limit:1 rng g ~rgs in
-  check Alcotest.bool "mc path near" true (abs_float (approx -. 0.224) < 0.01)
-
-
 (* --- Lifetime simulation ---------------------------------------------- *)
 
 module Lifetime = Indaas_faultgraph.Lifetime
@@ -553,48 +543,7 @@ let test_bdd_probability_matches_inclusion_exclusion () =
   (* random weighted component-set graphs: BDD = inclusion-exclusion *)
   let rng = Prng.of_int 91 in
   for _ = 1 to 30 do
-    let sources =
-      List.init
-        (1 + Prng.int rng 3)
-        (fun i ->
-          ( Printf.sprintf "E%d" i,
-            List.init
-              (1 + Prng.int rng 4)
-              (fun j -> (Printf.sprintf "c%d" (Prng.int rng 6), 0.1 +. (0.1 *. float_of_int j))) ))
-    in
-    (* dedup per-source components to avoid prob conflicts *)
-    let sources =
-      List.map
-        (fun (s, cs) ->
-          let seen = Hashtbl.create 8 in
-          ( s,
-            List.filter
-              (fun (c, _) ->
-                if Hashtbl.mem seen c then false
-                else begin
-                  Hashtbl.add seen c ();
-                  true
-                end)
-              cs ))
-        sources
-    in
-    (* assign a single consistent probability per name *)
-    let prob_of_name = Hashtbl.create 8 in
-    let sources =
-      List.map
-        (fun (s, cs) ->
-          ( s,
-            List.map
-              (fun (c, p) ->
-                match Hashtbl.find_opt prob_of_name c with
-                | Some p0 -> (c, p0)
-                | None ->
-                    Hashtbl.add prob_of_name c p;
-                    (c, p))
-              cs ))
-        sources
-    in
-    let g = Graph.of_fault_sets sources in
+    let g = Graph.of_fault_sets (Fixtures.random_fault_sets rng) in
     let rgs = Cutset.minimal_risk_groups g in
     let exact = Probability.top_probability_exact g ~rgs in
     check (Alcotest.float 1e-9) "BDD = IE" exact (Bdd.graph_probability g)
@@ -733,6 +682,26 @@ let test_rank_components () =
   let text = Importance.render ranked in
   check Alcotest.bool "renders" true
     (Astring.String.is_infix ~affix:"Fussell-Vesely" text)
+
+let test_importance_past_ie_cap () =
+  (* 5 x 5 disjoint devices: 25 RGs, past the 2^22-term cap of
+     inclusion-exclusion. Each device's RGs pair it with one of the
+     other server's five, so FV = p / (1 - (1-p)^5). *)
+  let devices prefix = List.init 5 (fun i -> (Printf.sprintf "%s%d" prefix i, 0.1)) in
+  let g = Graph.of_fault_sets [ ("E1", devices "a"); ("E2", devices "b") ] in
+  let rgs = Cutset.minimal_risk_groups g in
+  check Alcotest.int "25 RGs" 25 (List.length rgs);
+  let ranked = Importance.rank_components g ~rgs in
+  check Alcotest.int "all components" 10 (List.length ranked);
+  let any = 1. -. (0.9 ** 5.) in
+  List.iter
+    (fun c ->
+      check (Alcotest.float 1e-12) "FV" (0.1 /. any) c.Importance.fussell_vesely;
+      (* Pr(T | c) - Pr(T | not c) = any - any * (1 - (1-p)^4) *)
+      check (Alcotest.float 1e-12) "Birnbaum"
+        (any -. (any *. (1. -. (0.9 ** 4.))))
+        c.Importance.birnbaum)
+    ranked
 
 let test_importance_requires_probabilities () =
   let g = figure_4a () in
@@ -943,6 +912,56 @@ let prop_engines_agree_component_sets =
       && Cutset.minimal_risk_groups ~max_size:2 g
          = Bdd.minimal_risk_groups ~max_size:2 g)
 
+(* [Bdd.of_family] denotes the union of its RGs: on every assignment
+   of a random DAG's basic events, it holds iff some RG has failed
+   entirely. *)
+let prop_of_family_is_union =
+  QCheck.Test.make ~name:"of_family denotes the union of its RGs" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g = random_dag seed in
+      let basics = Graph.basic_ids g in
+      let n = Array.length basics in
+      let rng = Prng.of_int seed in
+      let family =
+        List.init (Prng.int rng 6) (fun _ ->
+            Array.of_list
+              (List.filter (fun _ -> Prng.bool rng) (Array.to_list basics)))
+      in
+      let m, _ = Bdd.of_graph g in
+      let union = Bdd.of_family m family in
+      List.for_all
+        (fun mask ->
+          let failed id =
+            let rec index i = if basics.(i) = id then i else index (i + 1) in
+            mask land (1 lsl index 0) <> 0
+          in
+          Bdd.evaluate m union ~failed
+          = List.exists (Array.for_all failed) family)
+        (List.init (1 lsl n) Fun.id))
+
+(* The importance path's exact BDD values against the
+   inclusion-exclusion oracle, where the oracle is tractable. *)
+let prop_fussell_vesely_oracle =
+  QCheck.Test.make ~name:"Fussell-Vesely = inclusion-exclusion oracle"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g =
+        Graph.of_fault_sets (Fixtures.random_fault_sets (Prng.of_int seed))
+      in
+      let rgs = Cutset.minimal_risk_groups g in
+      QCheck.assume (List.length rgs <= 12);
+      let top = Probability.top_probability_exact g ~rgs in
+      List.for_all
+        (fun c ->
+          let containing =
+            List.filter (Array.exists (( = ) c.Importance.component)) rgs
+          in
+          let oracle = Probability.top_probability_exact g ~rgs:containing /. top in
+          abs_float (c.Importance.fussell_vesely -. oracle) <= 1e-9)
+        (Importance.rank_components g ~rgs))
+
 let () =
   Alcotest.run "faultgraph"
     [
@@ -1000,7 +1019,6 @@ let () =
           Alcotest.test_case "monte carlo agrees" `Slow test_monte_carlo_agrees;
           Alcotest.test_case "missing probability" `Quick test_missing_probability;
           Alcotest.test_case "no RGs" `Quick test_empty_rgs_probability;
-          Alcotest.test_case "dispatcher" `Quick test_dispatcher;
         ] );
       ( "compose",
         [
@@ -1045,6 +1063,8 @@ let () =
           Alcotest.test_case "birnbaum known" `Quick test_birnbaum_known;
           Alcotest.test_case "fussell-vesely known" `Quick test_fussell_vesely_known;
           Alcotest.test_case "rank components" `Quick test_rank_components;
+          Alcotest.test_case "exact past the IE cap" `Quick
+            test_importance_past_ie_cap;
           Alcotest.test_case "needs probabilities" `Quick
             test_importance_requires_probabilities;
         ] );
@@ -1067,5 +1087,7 @@ let () =
           qtest prop_top_event_iff_some_rg_contained;
           qtest prop_engines_agree;
           qtest prop_engines_agree_component_sets;
+          qtest prop_of_family_is_union;
+          qtest prop_fussell_vesely_oracle;
         ] );
     ]

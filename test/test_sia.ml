@@ -6,6 +6,9 @@ module Depdb = Indaas_depdata.Depdb
 module Dependency = Indaas_depdata.Dependency
 module Graph = Indaas_faultgraph.Graph
 module Cutset = Indaas_faultgraph.Cutset
+module Bdd = Indaas_faultgraph.Bdd
+module Probability = Indaas_faultgraph.Probability
+module Params = Indaas_sia.Params
 module Prng = Indaas_util.Prng
 
 let check = Alcotest.check
@@ -137,7 +140,9 @@ let test_size_based_order () =
 
 let test_probability_based_order () =
   let g, rgs = ranked_graph () in
-  let ranked = Rank.probability_based (Prng.of_int 1) g rgs in
+  let ranked =
+    Rank.probability_based ~top_probability:(Bdd.graph_probability g) g rgs
+  in
   (* A2 has importance 0.8929 > 0.1339 *)
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
@@ -155,7 +160,9 @@ let test_independence_scores () =
   let ranked = Rank.size_based g rgs in
   check (Alcotest.float 1e-9) "sum of sizes" 3. (Rank.independence_score_size ranked);
   check (Alcotest.float 1e-9) "top-1" 1. (Rank.independence_score_size ~top_n:1 ranked);
-  let weighted = Rank.probability_based (Prng.of_int 1) g rgs in
+  let weighted =
+    Rank.probability_based ~top_probability:(Bdd.graph_probability g) g rgs
+  in
   check (Alcotest.float 1e-3) "sum of importances" 1.0268
     (Rank.independence_score_importance weighted);
   Alcotest.check_raises "missing importance"
@@ -243,14 +250,14 @@ let test_choose_best_empty () =
     (Invalid_argument "Audit.choose_best: no candidates") (fun () ->
       ignore (Audit.choose_best db ~candidates:[] (Audit.request [])))
 
-module Bdd = Indaas_faultgraph.Bdd
-
 let test_audit_bdd_engine_agrees () =
   let db = figure2_db () in
   let names r =
     List.sort compare (List.map (fun x -> x.Rank.rg_names) r.Audit.ranked)
   in
-  let enum = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
+  let enum =
+    Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg [ "S1"; "S2" ])
+  in
   let bdd =
     Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg_bdd [ "S1"; "S2" ])
   in
@@ -300,7 +307,9 @@ let test_audit_auto_uses_enum_within_budget () =
   let auto =
     Audit.audit db (Audit.request ~algorithm:Audit.auto_rg [ "S1"; "S2" ])
   in
-  let enum = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
+  let enum =
+    Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg [ "S1"; "S2" ])
+  in
   let names r = List.map (fun x -> x.Rank.rg_names) r.Audit.ranked in
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
@@ -350,6 +359,93 @@ let prop_engines_agree_on_builder_graphs =
                   Audit.Auto_rg { max_family = Some 1 };
                 ])
         (List.init (List.length machines) succ))
+
+(* --- Exact probabilities ----------------------------------------------------- *)
+
+(* Two servers, each with its own [n] disjoint hardware devices. *)
+let disjoint_db a b =
+  let db = Depdb.create () in
+  List.iter
+    (fun (server, n) ->
+      List.iter
+        (fun i ->
+          Depdb.add db
+            (Dependency.hardware ~hw:server
+               ~hw_type:(Printf.sprintf "T%d" i)
+               ~dep:(Printf.sprintf "%s-hw%d" server i)))
+        (List.init n Fun.id))
+    [ ("S1", a); ("S2", b) ];
+  db
+
+let weighted ?algorithm p servers =
+  Audit.request ?algorithm
+    ~component_probability:(Builder.uniform_probability p)
+    ~ranking:Audit.Probability_based servers
+
+(* Pr(T) and every RG importance come from one exact estimate, also
+   past the 20 RGs where inclusion-exclusion used to give way. *)
+let test_report_coherent () =
+  let report = Audit.audit (disjoint_db 5 5) (weighted 0.1 [ "S1"; "S2" ]) in
+  check Alcotest.int "25 RGs" 25 (List.length report.Audit.ranked);
+  let pr = Option.get report.Audit.failure_probability in
+  List.iter
+    (fun r ->
+      let p = Option.get r.Rank.probability in
+      let i = Option.get r.Rank.importance in
+      check Alcotest.bool "importance x Pr(T) = Pr(C)" true
+        (abs_float ((i *. pr) -. p) <= 1e-12 *. p))
+    report.Audit.ranked;
+  check (Alcotest.float 1e-15) "exact Pr(T)" ((1. -. (0.9 ** 5.)) ** 2.) pr
+
+(* Sampling finds only some RGs; Pr(T) still counts every one. *)
+let test_sampling_failure_probability_exact () =
+  let report =
+    Audit.audit (figure2_db ())
+      (weighted ~algorithm:(Audit.failure_sampling ~rounds:2) 0.1 [ "S1"; "S2" ])
+  in
+  check (Alcotest.float 0.) "Pr(T) = BDD"
+    (Bdd.graph_probability report.Audit.graph)
+    (Option.get report.Audit.failure_probability)
+
+let test_default_algorithm () =
+  check Alcotest.bool "Audit.request = Params.default" true
+    ((Audit.request []).Audit.algorithm
+    = (Params.request Params.default).Audit.algorithm)
+
+(* Audit's exact Pr(T) and RG importances against the
+   inclusion-exclusion oracle: random weighted fault sets, each source
+   a server with one hardware record per component. *)
+let prop_audit_matches_oracle =
+  QCheck.Test.make ~name:"audit probabilities = inclusion-exclusion oracle"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let sets = Fixtures.random_fault_sets (Prng.of_int seed) in
+      let db = Depdb.create () in
+      List.iter
+        (fun (server, cs) ->
+          List.iter
+            (fun (c, _) -> Depdb.add db (Dependency.hardware ~hw:server ~hw_type:c ~dep:c))
+            cs)
+        sets;
+      let probability name = List.assoc_opt name (List.concat_map snd sets) in
+      let report =
+        Audit.audit db
+          (Audit.request ~component_probability:probability
+             ~ranking:Audit.Probability_based (List.map fst sets))
+      in
+      let g = report.Audit.graph in
+      let rgs = Cutset.minimal_risk_groups g in
+      QCheck.assume (List.length rgs <= 12);
+      let oracle = Probability.top_probability_exact g ~rgs in
+      let close a b = abs_float (a -. b) <= 1e-9 in
+      close oracle (Option.get report.Audit.failure_probability)
+      && List.for_all
+           (fun r ->
+             close
+               (Probability.rg_probability g r.Rank.rg /. oracle)
+               (Option.get r.Rank.importance))
+           report.Audit.ranked)
 
 (* --- Report ---------------------------------------------------------------- *)
 
@@ -429,6 +525,15 @@ let () =
             test_probability_based_order;
           Alcotest.test_case "independence scores" `Quick test_independence_scores;
           Alcotest.test_case "unexpected filter" `Quick test_unexpected_filter;
+        ] );
+      ( "exact",
+        [
+          Alcotest.test_case "one coherent report" `Quick test_report_coherent;
+          Alcotest.test_case "sampling keeps Pr(T) exact" `Quick
+            test_sampling_failure_probability_exact;
+          Alcotest.test_case "default algorithm is the CLI's" `Quick
+            test_default_algorithm;
+          QCheck_alcotest.to_alcotest prop_audit_matches_oracle;
         ] );
       ( "audit",
         [
