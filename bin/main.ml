@@ -397,7 +397,7 @@ let sia_cmd =
                 [ Collectors.static ~name:"records" (Depdb.records raw) ]
             in
             let db, deg =
-              Agent.collect_resilient ~faults:injector
+              Agent.collect ~faults:injector
                 ~rng:(Indaas_util.Prng.of_int p.seed)
                 [ source ]
             in
@@ -419,16 +419,8 @@ let sia_cmd =
       in
       let report =
         match degradation with
-        | Some d when degraded ->
-            {
-              report with
-              Sia_audit.diagnostics =
-                Lint.degraded_collection
-                  ~completeness:d.Degradation.completeness
-                  ~failed_sources:(Degradation.failed_sources d)
-                :: report.Sia_audit.diagnostics;
-            }
-        | _ -> report
+        | Some d -> Agent.with_degradation d report
+        | None -> report
       in
       let report =
         if no_collector_spans ~disable () then
@@ -491,16 +483,12 @@ let chaos_cmd =
          injector), so every recorded timestamp is a function of the
          seed and the trace compares byte-identical across runs. *)
       enable_obs ~trace ~metrics ~seed ();
-      match Chaos.run ~seed ~scenario ~plan ~trials () with
-      | summary ->
-          if json then
-            print_endline
-              (Indaas_util.Json.to_string ~indent:true (Chaos.to_json summary))
-          else print_string (Chaos.render summary);
-          finish_obs ~trace ~metrics ()
-      | exception Invalid_argument msg ->
-          Printf.eprintf "indaas chaos: %s\n" msg;
-          exit 124
+      let summary = Chaos.run ~seed ~scenario ~plan ~trials () in
+      if json then
+        print_endline
+          (Indaas_util.Json.to_string ~indent:true (Chaos.to_json summary))
+      else print_string (Chaos.render summary);
+      finish_obs ~trace ~metrics ()
     end
   in
   let scenario_arg =
@@ -586,8 +574,9 @@ let pia_cmd =
         (fun spec ->
           match String.index_opt spec '=' with
           | None ->
-              Printf.eprintf "--provider expects NAME=FILE, got %S\n" spec;
-              exit 1
+              Printf.eprintf "indaas: --provider expects NAME=FILE, got %S\n"
+                spec;
+              exit 124
           | Some i ->
               let name = String.sub spec 0 i in
               let path = String.sub spec (i + 1) (String.length spec - i - 1) in
@@ -1069,6 +1058,10 @@ let client_cmd =
       if !failures > 0 then exit 1
     end
     else begin
+      if not (Option.fold ~none:true ~some:(fun d -> d >= 0.) deadline) then begin
+        prerr_endline "indaas client: --deadline must be non-negative";
+        exit 124
+      end;
       let options =
         {
           Client.snapshot;
@@ -1272,9 +1265,24 @@ let () =
     Cmd.info "indaas" ~version:"1.0.0"
       ~doc:"Independence-as-a-Service: audit redundancy deployments proactively."
   in
+  let cmd =
+    Cmd.group ~default info
+      [ lint_cmd; sia_cmd; compare_cmd; pia_cmd; topo_cmd; case_cmd;
+        chaos_cmd; dot_cmd; gen_cmd; coverage_cmd; importance_cmd;
+        serve_cmd; client_cmd ]
+  in
+  (* The one error boundary: input the libraries reject (an unknown
+     server, an out-of-range parameter, an unreadable file) is a usage
+     error, as the daemon answers it with bad-request; anything else
+     is a bug and keeps cmdliner's internal-error exit. *)
   exit
-    (Cmd.eval
-       (Cmd.group ~default info
-          [ lint_cmd; sia_cmd; compare_cmd; pia_cmd; topo_cmd; case_cmd;
-            chaos_cmd; dot_cmd; gen_cmd; coverage_cmd; importance_cmd;
-            serve_cmd; client_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception (Invalid_argument msg | Sys_error msg) ->
+        prerr_endline ("indaas: " ^ msg);
+        Cmd.Exit.cli_error
+    | exception e ->
+        prerr_endline
+          ("indaas: internal error, uncaught exception:\n  "
+          ^ Printexc.to_string e);
+        Cmd.Exit.internal_error)

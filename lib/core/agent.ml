@@ -31,7 +31,7 @@ type outcome =
 type audit_run = {
   spec : Spec.t;
   outcome : outcome;
-  database_size : int;
+  database : Depdb.t;
   degradation : Degradation.t;
 }
 
@@ -66,44 +66,13 @@ let check_unique_sources sources =
   in
   go [] sources
 
-let collect spec sources =
-  Obs.with_span "collect" @@ fun () ->
-  let db = Depdb.create () in
-  List.iter
-    (fun name ->
-      let source = find_source sources name in
-      Obs.with_span "collect.source" ~attrs:[ ("source", name) ] @@ fun () ->
-      List.iter
-        (fun (m : Collectors.t) ->
-          let records = m.Collectors.collect () in
-          Obs.incr "agent.module_calls";
-          Obs.incr ~by:(List.length records) "agent.records";
-          Log.debug (fun f ->
-              f "source %s: module %s produced %d records" name
-                m.Collectors.name (List.length records));
-          Depdb.add_all db records)
-        source.modules)
-    spec.Spec.data_sources;
-  let filtered = filter_kinds spec db in
-  Log.info (fun f ->
-      f "collected %d records from %d data sources (%d after kind filter)"
-        (Depdb.size db)
-        (List.length spec.Spec.data_sources)
-        (Depdb.size filtered));
-  filtered
-
-(* Degradation-aware collection: every module call goes through the
-   retry engine (per-source circuit breaker, full-jitter backoff on a
-   virtual clock), optionally under a fault injector. A module whose
-   budget is exhausted loses its records but not the audit; the
-   degradation record keeps the honest account. *)
-let collect_resilient ?faults ?retry ?clock ?(rng = Prng.of_int 0xC011EC7)
-    sources =
+(* Every module call goes through the retry engine (per-source circuit
+   breaker, full-jitter backoff on a virtual clock), optionally under a
+   fault injector. A module whose budget is exhausted loses its records
+   but not the audit; the degradation record keeps the honest account. *)
+let collect ?faults ?retry ?(rng = Prng.of_int 0xC011EC7) sources =
   let clock =
-    match (faults, clock) with
-    | Some f, _ -> Fault.clock f
-    | None, Some c -> c
-    | None, None -> Vclock.create ()
+    match faults with Some f -> Fault.clock f | None -> Vclock.create ()
   in
   let policy = Option.value retry ~default:Retry.default in
   let retry_rng = Prng.split rng in
@@ -192,17 +161,6 @@ let collect_resilient ?faults ?retry ?clock ?(rng = Prng.of_int 0xC011EC7)
 (* In PIA the agent never pools records: each provider derives its own
    normalized component set locally (§4.2.3). A provider's set is the
    union over all machines its records describe. *)
-let local_component_set spec source =
-  let db = Depdb.create () in
-  List.iter
-    (fun (m : Collectors.t) -> Depdb.add_all db (m.Collectors.collect ()))
-    source.modules;
-  let db = filter_kinds spec db in
-  Componentset.union_many
-    (List.map
-       (fun machine -> Componentset.of_depdb db ~machine)
-       (Depdb.machines db))
-
 let component_set_of_db spec db =
   let db = filter_kinds spec db in
   Componentset.union_many
@@ -210,77 +168,58 @@ let component_set_of_db spec db =
        (fun machine -> Componentset.of_depdb db ~machine)
        (Depdb.machines db))
 
-let attach_degradation degradation reports =
-  if not (Degradation.degraded degradation) then reports
+let with_degradation degradation (report : Sia_audit.deployment_report) =
+  if not (Degradation.degraded degradation) then report
   else
     let diag =
       Lint.degraded_collection
         ~completeness:degradation.Degradation.completeness
         ~failed_sources:(Degradation.failed_sources degradation)
     in
-    List.map
-      (fun (r : Sia_audit.deployment_report) ->
-        { r with Sia_audit.diagnostics = diag :: r.Sia_audit.diagnostics })
-      reports
+    { report with Sia_audit.diagnostics = diag :: report.Sia_audit.diagnostics }
 
 let run ?(rng = Prng.of_int 0x1DAA5) ?rg_algorithm ?pia_protocol ?faults ?retry
     spec sources =
   check_unique_sources sources;
-  let resilient = faults <> None || retry <> None in
+  let selected = List.map (find_source sources) spec.Spec.data_sources in
   match spec.Spec.metric with
   | Spec.Jaccard_similarity ->
-      let selected =
-        List.map (find_source sources) spec.Spec.data_sources
+      (* Each provider collects locally under the retry engine; a
+         provider that never answers is excluded from the protocol and
+         reported in the degradation record. *)
+      let per_provider =
+        List.map
+          (fun s ->
+            let db, deg = collect ?faults ?retry ~rng [ s ] in
+            let report = List.hd deg.Degradation.sources in
+            let provider =
+              match report.Degradation.status with
+              | Degradation.Failed _ -> None
+              | _ ->
+                  Some
+                    {
+                      Pia_audit.name = s.source_name;
+                      Pia_audit.components = component_set_of_db spec db;
+                    }
+            in
+            (provider, report, deg.Degradation.retries))
+          selected
       in
-      let providers, degradation =
-        if not resilient then
-          ( List.map
-              (fun s ->
-                {
-                  Pia_audit.name = s.source_name;
-                  Pia_audit.components = local_component_set spec s;
-                })
-              selected,
-            Degradation.complete ~sources:spec.Spec.data_sources )
-        else
-          (* Each provider collects locally under the retry engine; a
-             provider that never answers is excluded from the protocol
-             and reported in the degradation record. *)
-          let per_provider =
-            List.map
-              (fun s ->
-                let db, deg = collect_resilient ?faults ?retry ~rng [ s ] in
-                let report = List.hd deg.Degradation.sources in
-                let provider =
-                  match report.Degradation.status with
-                  | Degradation.Failed _ -> None
-                  | _ ->
-                      Some
-                        {
-                          Pia_audit.name = s.source_name;
-                          Pia_audit.components = component_set_of_db spec db;
-                        }
-                in
-                (provider, report, deg.Degradation.retries))
-              selected
-          in
-          let providers = List.filter_map (fun (p, _, _) -> p) per_provider in
-          let retries =
-            List.fold_left (fun acc (_, _, r) -> acc + r) 0 per_provider
-          in
-          let degradation =
-            Degradation.make ~retries
-              (List.map (fun (_, report, _) -> report) per_provider)
-          in
-          if List.length providers < spec.Spec.redundancy then
-            failwith
-              (Printf.sprintf
-                 "Agent.run: only %d/%d providers responded — cannot audit \
-                  %d-way redundancy"
-                 (List.length providers) (List.length selected)
-                 spec.Spec.redundancy);
-          (providers, degradation)
+      let providers = List.filter_map (fun (p, _, _) -> p) per_provider in
+      let retries =
+        List.fold_left (fun acc (_, _, r) -> acc + r) 0 per_provider
       in
+      let degradation =
+        Degradation.make ~retries
+          (List.map (fun (_, report, _) -> report) per_provider)
+      in
+      if List.length providers < spec.Spec.redundancy then
+        failwith
+          (Printf.sprintf
+             "Agent.run: only %d/%d providers responded — cannot audit %d-way \
+              redundancy"
+             (List.length providers) (List.length selected)
+             spec.Spec.redundancy);
       let protocol =
         match pia_protocol with
         | Some p -> p
@@ -293,20 +232,15 @@ let run ?(rng = Prng.of_int 0x1DAA5) ?rg_algorithm ?pia_protocol ?faults ?retry
         Pia_audit.audit ~protocol ~rng ?faults ?retry ~way:spec.Spec.redundancy
           providers
       in
-      { spec; outcome = Pia_outcome report; database_size = 0; degradation }
+      {
+        spec;
+        outcome = Pia_outcome report;
+        database = Depdb.create ();
+        degradation;
+      }
   | Spec.Size_ranking | Spec.Probability_ranking _ ->
-      let db, degradation =
-        if not resilient then
-          (collect spec sources, Degradation.complete ~sources:spec.Spec.data_sources)
-        else
-          let selected =
-            List.map (find_source sources) spec.Spec.data_sources
-          in
-          let db, degradation =
-            collect_resilient ?faults ?retry ~rng selected
-          in
-          (filter_kinds spec db, degradation)
-      in
+      let db, degradation = collect ?faults ?retry ~rng selected in
+      let db = filter_kinds spec db in
       let ranking, component_probability =
         match spec.Spec.metric with
         | Spec.Size_ranking -> (Sia_audit.Size_based, None)
@@ -318,35 +252,29 @@ let run ?(rng = Prng.of_int 0x1DAA5) ?rg_algorithm ?pia_protocol ?faults ?retry
         Sia_audit.request ~required:spec.Spec.required ?component_probability
           ?algorithm:rg_algorithm ~ranking []
       in
-      let candidates = Spec.candidate_deployments spec in
       (* A source that contributed no records cannot be audited (the
-         graph builder has nothing to build from), so in resilient
-         mode candidates that include one are skipped — the
-         degradation record and IND-R001 account for the gap. *)
-      let candidates =
-        if not resilient then candidates
-        else
-          let machines = Depdb.machines db in
-          let viable =
-            List.filter (List.for_all (fun s -> List.mem s machines)) candidates
-          in
-          let skipped = List.length candidates - List.length viable in
-          if skipped > 0 then
-            Log.warn (fun f ->
-                f "skipping %d candidate deployment(s) with failed sources"
-                  skipped);
-          viable
+         graph builder has nothing to build from), so candidates that
+         include one are skipped — the degradation record and IND-R001
+         account for the gap. *)
+      let candidates = Spec.candidate_deployments spec in
+      let machines = Depdb.machines db in
+      let viable =
+        List.filter (List.for_all (fun s -> List.mem s machines)) candidates
       in
+      let skipped = List.length candidates - List.length viable in
+      if skipped > 0 then
+        Log.warn (fun f ->
+            f "skipping %d candidate deployment(s) with failed sources" skipped);
       Log.info (fun f ->
-          f "running SIA over %d candidate deployments" (List.length candidates));
+          f "running SIA over %d candidate deployments" (List.length viable));
       let reports =
-        Sia_audit.audit_candidates ~rng db ~candidates request
-        |> attach_degradation degradation
+        Sia_audit.audit_candidates ~rng db ~candidates:viable request
+        |> List.map (with_degradation degradation)
       in
       {
         spec;
         outcome = Sia_outcome reports;
-        database_size = Depdb.size db;
+        database = db;
         degradation;
       }
 

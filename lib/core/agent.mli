@@ -7,19 +7,18 @@
     structural (SIA) or private (PIA) independence auditing, returning
     the final report.
 
-    Collection can run in two modes. The legacy {!collect} is
-    fail-fast: a raising module aborts the audit. The resilient mode
-    ({!collect_resilient}, or {!run} with [?faults]/[?retry]) retries
-    each module under exponential backoff with full jitter on a
-    virtual clock, guarded by a per-source circuit breaker; a module
-    that stays down loses its records but not the audit, and the
-    {!type:audit_run}'s degradation record accounts for every loss. *)
+    Every collection runs each module under the retry engine:
+    exponential backoff with full jitter on a virtual clock, guarded
+    by a per-source circuit breaker, optionally under a fault
+    injector. A module that stays down loses its records but not the
+    audit, and the {!type:audit_run}'s degradation record accounts
+    for every loss. A fault-free collection whose modules all answer
+    at their first call spends no retries and is complete. *)
 
 module Depdb = Indaas_depdata.Depdb
 module Collectors = Indaas_depdata.Collectors
 module Fault = Indaas_resilience.Fault
 module Retry = Indaas_resilience.Retry
-module Vclock = Indaas_resilience.Vclock
 module Degradation = Indaas_resilience.Degradation
 
 type data_source = {
@@ -37,33 +36,37 @@ type outcome =
 type audit_run = {
   spec : Spec.t;
   outcome : outcome;
-  database_size : int;
-      (** records gathered (0 for PIA — the agent never sees them) *)
+  database : Depdb.t;
+      (** the records gathered, filtered to the requested kinds (empty
+          for PIA — the agent never sees them) *)
   degradation : Degradation.t;
-      (** how complete the collection was; completeness 1 for
-          fail-fast runs that finished *)
+      (** how complete the collection was; completeness 1 when every
+          module answered within its retry budget and nothing was
+          dropped *)
 }
 
-val collect : Spec.t -> data_source list -> Depdb.t
-(** Steps 2–3 only: ask every relevant source to run its modules and
-    adapt the records; returns the merged DepDB filtered to the
-    requested dependency kinds. Fail-fast: module exceptions
-    propagate. *)
-
-val collect_resilient :
+val collect :
   ?faults:Fault.injector ->
   ?retry:Retry.policy ->
-  ?clock:Vclock.t ->
   ?rng:Indaas_util.Prng.t ->
   data_source list ->
   Depdb.t * Degradation.t
-(** Runs every module of every listed source under the retry engine
-    ([retry] defaults to {!Retry.default}) and a per-source circuit
-    breaker, optionally wrapping each collector through the fault
-    injector. Returns the merged (unfiltered) database plus the
-    degradation record; never raises for transient module failures.
-    [clock] is ignored when [faults] is given (the injector's clock
-    wins), so injected timeouts and retry backoff share one timeline. *)
+(** Steps 2–3: runs every module of every listed source, in order,
+    under the retry engine ([retry] defaults to {!Retry.default}) and
+    a per-source circuit breaker, wrapping each collector through the
+    fault injector when [faults] is given (retry backoff then shares
+    the injector's virtual clock). Returns the merged (unfiltered)
+    database plus the degradation record; never raises for transient
+    module failures ({!Fault.Injected}, [Failure]). [rng] drives the
+    retry jitter. *)
+
+val with_degradation :
+  Degradation.t ->
+  Indaas_sia.Audit.deployment_report ->
+  Indaas_sia.Audit.deployment_report
+(** Prepends the [IND-R001] diagnostic to the report's diagnostics
+    when the collection was degraded; the report unchanged
+    otherwise. *)
 
 val run :
   ?rng:Indaas_util.Prng.t ->
@@ -82,14 +85,16 @@ val run :
     Raises [Invalid_argument] if a specified data source is missing or
     if two sources carry the same name.
 
-    Passing [faults] and/or [retry] turns on resilient mode: SIA
-    collection degrades instead of crashing (failed sources are
-    reported in the degradation record and every deployment report
-    carries the [IND-R001] diagnostic); PIA providers that never
+    Collection runs through {!collect}, so a module that fails
+    transiently is retried, and one that stays down degrades the run
+    instead of crashing it: SIA candidates that include a source with
+    no records are skipped, and every deployment report of a degraded
+    run carries the [IND-R001] diagnostic. PIA providers that never
     answer are excluded (raising [Failure] only if fewer than
-    [redundancy] remain), and the private protocol itself retries
-    rounds under the same policy, reporting still-failed rounds in the
-    PIA report instead of crashing. *)
+    [redundancy] remain), and the private protocol retries each round
+    under the same policy, reporting still-failed rounds in the PIA
+    report. [faults] injects faults into collection and the P-SOP
+    transport; [retry] overrides {!Retry.default}. *)
 
 val render : audit_run -> string
 (** The report sent back to the client (Step 6), prefixed with the

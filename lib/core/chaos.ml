@@ -170,7 +170,6 @@ let one_trial scenario entries retry ~seed =
   with
   | run -> if run_degraded run then Trial_degraded run else Trial_ok run
   | exception Failure msg -> Trial_failed msg
-  | exception (Fault.Injected _ as e) -> Trial_failed (Fault.describe e)
 
 let source_errors (deg : Degradation.t) =
   List.filter_map

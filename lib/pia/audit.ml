@@ -126,10 +126,10 @@ let audit ?(protocol = Cleartext) ?(rng = Prng.of_int 0x91A) ?faults ?retry ~way
   let n = List.length providers in
   if way < 2 then invalid_arg "Audit.audit: way must be >= 2";
   if way > n then invalid_arg "Audit.audit: way exceeds provider count";
-  (* With a fault injector or a retry policy, each protocol round is
-     retried under backoff and a round that still fails is reported
-     in [failures] instead of crashing the whole audit. *)
-  let resilient = faults <> None || retry <> None in
+  (* Each protocol round runs under the retry engine, intercepted by
+     the injector's "transport" faults when one is given; a round that
+     still fails is reported in [failures] instead of crashing the
+     whole audit. *)
   let interceptor =
     Option.map (fun f -> Fault.transport_interceptor f ~target:"transport") faults
   in
@@ -142,19 +142,17 @@ let audit ?(protocol = Cleartext) ?(rng = Prng.of_int 0x91A) ?faults ?retry ~way
     subsets_of_size way providers
     |> List.map (fun group ->
            let names = List.map (fun p -> p.name) group in
-           let eval () = evaluate ?interceptor protocol rng group in
-           if not resilient then Either.Left (eval ())
-           else
-             let outcome =
-               Retry.call ~policy ~clock ~rng:retry_rng
-                 ~label:(String.concat " & " names) eval
-             in
-             match outcome.Retry.result with
-             | Ok r -> Either.Left r
-             | Error error ->
-                 Obs.incr "pia.round_failures";
-                 Either.Right
-                   { group = names; error; attempts = outcome.Retry.attempts })
+           let outcome =
+             Retry.call ~policy ~clock ~rng:retry_rng
+               ~label:(String.concat " & " names) (fun () ->
+                 evaluate ?interceptor protocol rng group)
+           in
+           match outcome.Retry.result with
+           | Ok r -> Either.Left r
+           | Error error ->
+               Obs.incr "pia.round_failures";
+               Either.Right
+                 { group = names; error; attempts = outcome.Retry.attempts })
   in
   let results =
     List.filter_map

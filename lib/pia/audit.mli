@@ -61,14 +61,15 @@ val audit :
     [way = 2] and [way = 3] over four clouds). Defaults: [Cleartext]
     — pass [Psop] for the private protocol — and a fixed seed.
 
-    When [faults] and/or [retry] is given the audit runs resiliently:
-    the injector's ["transport"] faults intercept the P-SOP ring, each
-    protocol round is retried under the policy (default
-    {!Indaas_resilience.Retry.default}) on the injector's virtual
-    clock, and a round whose budget is exhausted — e.g. a provider
-    that keeps dropping out mid-P-SOP — lands in [failures] instead
-    of crashing the run. Without either option behaviour is the
-    legacy fail-fast one.
+    Every protocol round runs under the retry engine with [retry]
+    (default {!Indaas_resilience.Retry.default}), on the injector's
+    virtual clock when [faults] is given. The injector's
+    ["transport"] faults intercept the P-SOP ring. A round that fails
+    transiently ({!Indaas_resilience.Fault.Injected} or [Failure]) is
+    retried, and one whose budget is exhausted — e.g. a provider that
+    keeps dropping out mid-P-SOP — lands in [failures] instead of
+    crashing the run. A fault-free round raises nothing transient, so
+    it runs exactly once.
 
     Raises [Invalid_argument] if [way < 2], [way] exceeds the
     provider count, or two providers share a name (the message names

@@ -49,21 +49,6 @@ let completeness_of sources =
 let make ~retries sources =
   { sources; completeness = completeness_of sources; retries }
 
-let complete ~sources =
-  make ~retries:0
-    (List.map
-       (fun source ->
-         {
-           source;
-           status = Ok;
-           attempts = 0;
-           modules_total = 0;
-           modules_failed = 0;
-           records = 0;
-           records_lost = 0;
-         })
-       sources)
-
 let degraded t =
   t.completeness < 1. || List.exists (fun s -> s.status <> Ok) t.sources
 

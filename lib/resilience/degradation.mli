@@ -40,10 +40,6 @@ val make : retries:int -> source_report list -> t
     to [1.] iff every source has [modules_failed = 0] and
     [records_lost = 0]. *)
 
-val complete : sources:string list -> t
-(** The non-degraded record (completeness 1) for runs with nothing to
-    report, e.g. legacy fail-fast collection. *)
-
 val degraded : t -> bool
 (** [completeness < 1.] or any source not [Ok]. *)
 

@@ -311,12 +311,14 @@ let cost_of meth =
 
 (* The scheduling deadline rides outside [params] — it shapes when a
    request runs, not what it computes, so it stays out of the cache
-   key. *)
+   key. Anything but a non-negative number is the request's error, as
+   [serve --deadline] rejects it. *)
 let deadline_of (req : Frame.request) =
   match Json.member "deadline" req.Frame.params with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | _ -> None
+  | None -> None
+  | Some (Json.Float f) when f >= 0. -> Some f
+  | Some (Json.Int i) when i >= 0 -> Some (float_of_int i)
+  | Some _ -> bad "\"deadline\" must be a non-negative number of seconds"
 
 let serve t transport =
   let dec = Frame.decoder () in
@@ -345,14 +347,17 @@ let serve t transport =
         answer (handle t req);
         false
     | req ->
-        Scheduler.submit t.sched ?deadline:(deadline_of req)
-          ~cost:(cost_of req.Frame.meth)
-          ~run:(fun () -> reply (handle t req))
-          ~shed:(fun ~reason ->
-            reply
-              (error_response req.Frame.id reason
-                 (Printf.sprintf "request shed by the scheduler: %s" reason)))
-          ();
+        (match deadline_of req with
+        | deadline ->
+            Scheduler.submit t.sched ?deadline ~cost:(cost_of req.Frame.meth)
+              ~run:(fun () -> reply (handle t req))
+              ~shed:(fun ~reason ->
+                reply
+                  (error_response req.Frame.id reason
+                     (Printf.sprintf "request shed by the scheduler: %s" reason)))
+              ()
+        | exception Reply_error (code, message) ->
+            answer (error_response req.Frame.id code message));
         true
     | exception Frame.Bad_frame msg ->
         bad_frame

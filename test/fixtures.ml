@@ -88,3 +88,27 @@ let random_fault_sets rng =
                 (c, p))
           cs ))
     sources
+
+(* The reference collection fold: run each selected source's modules
+   in order, merge their records, then keep the requested kinds. It is
+   the oracle [Agent.collect] and [Agent.run] must match when nothing
+   fails. *)
+let collect_oracle (spec : Indaas.Spec.t) sources =
+  let module Agent = Indaas.Agent in
+  let module Spec = Indaas.Spec in
+  let module Depdb = Indaas_depdata.Depdb in
+  let kind = function
+    | Dependency.Network _ -> Spec.Network
+    | Dependency.Hardware _ -> Spec.Hardware
+    | Dependency.Software _ -> Spec.Software
+  in
+  let db = Depdb.create () in
+  List.iter
+    (fun name ->
+      let source = List.find (fun s -> s.Agent.source_name = name) sources in
+      List.iter
+        (fun (m : Indaas_depdata.Collectors.t) ->
+          Depdb.add_all db (m.Indaas_depdata.Collectors.collect ()))
+        source.Agent.modules)
+    spec.Spec.data_sources;
+  List.filter (fun r -> Spec.wants spec (kind r)) (Depdb.records db)

@@ -70,10 +70,9 @@ let lab_sources () =
 
 let test_agent_collect_filters_kinds () =
   let spec = Spec.create ~kinds:[ Spec.Network ] ~redundancy:2 [ "S1"; "S2" ] in
-  let db = Agent.collect spec (lab_sources ()) in
-  check Alcotest.int "network records only" 2 (Depdb.size db);
-  let spec_all = Spec.create ~redundancy:2 [ "S1"; "S2" ] in
-  let db_all = Agent.collect spec_all (lab_sources ()) in
+  let run = Agent.run spec (lab_sources ()) in
+  check Alcotest.int "network records only" 2 (Depdb.size run.Agent.database);
+  let db_all, _ = Agent.collect (lab_sources ()) in
   (* 2 network + 8 hardware + 2 software *)
   check Alcotest.int "everything" 12 (Depdb.size db_all)
 
@@ -81,12 +80,12 @@ let test_agent_missing_source () =
   let spec = Spec.create ~redundancy:2 [ "S1"; "ghost" ] in
   Alcotest.check_raises "missing"
     (Invalid_argument "Agent: data source \"ghost\" not available") (fun () ->
-      ignore (Agent.collect spec (lab_sources ())))
+      ignore (Agent.run spec (lab_sources ())))
 
 let test_agent_sia_run () =
   let spec = Spec.create ~redundancy:2 [ "S1"; "S2" ] in
   let run = Agent.run spec (lab_sources ()) in
-  check Alcotest.int "db size" 12 run.Agent.database_size;
+  check Alcotest.int "db size" 12 (Depdb.size run.Agent.database);
   match run.Agent.outcome with
   | Agent.Sia_outcome [ report ] ->
       (* shared switch and shared base packages are unexpected *)
@@ -103,7 +102,7 @@ let test_agent_pia_run () =
       ~redundancy:2 [ "S1"; "S2" ]
   in
   let run = Agent.run ~pia_protocol:Pia_audit.Cleartext spec (lab_sources ()) in
-  check Alcotest.int "agent sees no records" 0 run.Agent.database_size;
+  check Alcotest.int "agent sees no records" 0 (Depdb.size run.Agent.database);
   match run.Agent.outcome with
   | Agent.Pia_outcome report ->
       let r = List.hd report.Pia_audit.results in
@@ -203,7 +202,7 @@ let test_agent_flaky_source_recovers () =
   check Alcotest.bool "complete" false (Degradation.degraded deg);
   check (Alcotest.float 1e-12) "completeness 1" 1. deg.Degradation.completeness;
   check Alcotest.bool "retries accounted" true (deg.Degradation.retries > 0);
-  check Alcotest.int "db intact" 12 run.Agent.database_size
+  check Alcotest.int "db intact" 12 (Depdb.size run.Agent.database)
 
 let test_agent_duplicate_source_rejected () =
   let spec = Spec.create ~redundancy:2 [ "S1"; "S2" ] in
@@ -245,14 +244,80 @@ let test_agent_pia_excludes_dead_provider () =
        false
      with Failure _ -> true)
 
-let test_collect_resilient_no_faults_matches_collect () =
-  let sources = lab_sources () in
-  let db, deg = Agent.collect_resilient ~retry:Retry.default sources in
-  check Alcotest.bool "complete" false (Degradation.degraded deg);
+(* A module that fails at its first call is retried even with no
+   fault plan: the run completes with one retry spent and every
+   record. *)
+let test_agent_failure_once_is_retried () =
   let spec = Spec.create ~redundancy:2 [ "S1"; "S2" ] in
-  check Alcotest.int "same records as fail-fast collect"
-    (Depdb.size (Agent.collect spec sources))
-    (Depdb.size db)
+  let fail_once (m : Collectors.t) =
+    let calls = ref 0 in
+    let collect () =
+      incr calls;
+      if !calls = 1 then failwith "transient collector error"
+      else m.Collectors.collect ()
+    in
+    { m with Collectors.collect }
+  in
+  let sources =
+    List.map
+      (fun (s : Agent.data_source) ->
+        match s.Agent.modules with
+        | m :: rest when s.Agent.source_name = "S1" ->
+            { s with Agent.modules = fail_once m :: rest }
+        | _ -> s)
+      (lab_sources ())
+  in
+  let run = Agent.run spec sources in
+  let deg = run.Agent.degradation in
+  check Alcotest.int "retries" 1 deg.Degradation.retries;
+  check Alcotest.bool "complete" false (Degradation.degraded deg);
+  check Alcotest.int "all records" 12 (Depdb.size run.Agent.database)
+
+(* Two to four sources of up to three modules each, a random
+   selection of at least two of them in random order, and a random
+   non-empty set of kinds. *)
+let gen_collection =
+  QCheck.Gen.(
+    let modules =
+      list_size (int_bound 3)
+        (map
+           (fun records -> Collectors.static ~name:"m" records)
+           (QCheck.gen Fixtures.gen_db))
+    in
+    let kinds =
+      map
+        (fun mask ->
+          List.filteri
+            (fun i _ -> mask land (1 lsl i) <> 0)
+            [ Spec.Network; Spec.Hardware; Spec.Software ])
+        (int_range 1 7)
+    in
+    int_range 2 4 >>= fun n ->
+    list_repeat n modules >>= fun modules ->
+    shuffle_l (List.init n (Printf.sprintf "src%d")) >>= fun names ->
+    int_range 2 n >>= fun selected ->
+    kinds >|= fun kinds ->
+    ( List.mapi
+        (fun i ms -> Agent.data_source ~name:(Printf.sprintf "src%d" i) ms)
+        modules,
+      Spec.create ~kinds ~redundancy:2
+        (List.filteri (fun i _ -> i < selected) names) ))
+
+let prop_collect_matches_oracle =
+  QCheck.Test.make ~name:"collect = fail-fast oracle" ~count:200
+    (QCheck.make gen_collection)
+    (fun (sources, spec) ->
+      let selected =
+        List.map
+          (fun name -> List.find (fun s -> s.Agent.source_name = name) sources)
+          spec.Spec.data_sources
+      in
+      let all_kinds = Spec.create ~redundancy:2 spec.Spec.data_sources in
+      let db, deg = Agent.collect selected in
+      let run = Agent.run spec sources in
+      (not (Degradation.degraded deg))
+      && Depdb.records db = Fixtures.collect_oracle all_kinds sources
+      && Depdb.records run.Agent.database = Fixtures.collect_oracle spec sources)
 
 (* --- Scenario: §6.2.1 --------------------------------------------------- *)
 
@@ -371,9 +436,7 @@ let test_hardware_sources_shape () =
   ignore (Indaas_iaas.Cloud.boot_vm cloud ~name:"VM1" ~group:"g");
   let sources = Scenario.hardware_case_sources cloud in
   check Alcotest.int "one source" 1 (List.length sources);
-  let db =
-    Agent.collect (Spec.create ~redundancy:2 [ "lab-cloud"; "lab-cloud" ]) sources
-  in
+  let db, _ = Agent.collect sources in
   check Alcotest.bool "has records" true (Depdb.size db > 0)
 
 let test_network_case_database () =
@@ -552,8 +615,9 @@ let () =
             test_agent_duplicate_source_rejected;
           Alcotest.test_case "PIA excludes dead provider" `Quick
             test_agent_pia_excludes_dead_provider;
-          Alcotest.test_case "collect_resilient matches collect" `Quick
-            test_collect_resilient_no_faults_matches_collect;
+          Alcotest.test_case "failure once is retried" `Quick
+            test_agent_failure_once_is_retried;
+          QCheck_alcotest.to_alcotest prop_collect_matches_oracle;
         ] );
       ( "network-case",
         [

@@ -1134,6 +1134,36 @@ let test_serve_sheds_over_capacity () =
   check Alcotest.(list string) "admission control"
     [ "unknown-snapshot"; "unknown-snapshot"; "overloaded" ] codes
 
+(* A deadline the scheduler cannot honour is the request's error,
+   answered in arrival order; the requests around it still run. *)
+let test_serve_rejects_bad_deadline () =
+  let with_deadline ~id deadline =
+    let req = audit_req ~id [ "S1"; "S2" ] in
+    match req.Frame.params with
+    | Json.Obj fields ->
+        { req with Frame.params = Json.Obj (("deadline", deadline) :: fields) }
+    | _ -> Alcotest.fail "audit params are an object"
+  in
+  let bytes =
+    encode_requests
+      [
+        Client.submit_deps ~id:1 ~source:"db" ~records:table1 ();
+        with_deadline ~id:2 (Json.String "soon");
+        with_deadline ~id:3 (Json.Float (-1.));
+        audit_req ~id:4 [ "S1"; "S2" ];
+        with_deadline ~id:5 (Json.Int 10);
+      ]
+  in
+  let responses = Client.decode_responses (serve_bytes bytes) in
+  check Alcotest.(list int) "arrival order" [ 1; 2; 3; 4; 5 ]
+    (List.map (fun (r : Frame.response) -> r.Frame.id) responses);
+  check Alcotest.(list string) "codes"
+    [ "ok"; "bad-request"; "bad-request"; "ok"; "ok" ]
+    (List.map
+       (fun (r : Frame.response) ->
+         match r.Frame.result with Ok _ -> "ok" | Error e -> e.Frame.code)
+       responses)
+
 (* A real pipe pair, the server in its own domain: each reply must
    arrive while the client still holds its end open. Client reads wait
    at most 10 s, so a server that answers only at end of input fails
@@ -1350,5 +1380,7 @@ let () =
             test_serve_oversized_response;
           qtest prop_serve_chunking_invariant;
           qtest prop_serve_survives_mutations;
+          Alcotest.test_case "bad deadline is bad-request" `Quick
+            test_serve_rejects_bad_deadline;
         ] );
     ]
