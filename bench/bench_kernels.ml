@@ -4,9 +4,10 @@
    minimal-cut-set computation, and one P-SOP element operation.
 
    Also the RG-engine comparison: the bitset-kernel enumeration engine
-   vs the BDD minimal-solutions engine on sparse and dense graphs,
-   with the results persisted to BENCH_kernels.json as the repo's perf
-   baseline. *)
+   vs the BDD minimal-solutions engine on sparse and dense graphs and
+   on fat-tree deployments of every redundancy shape the serving
+   benchmark audits, with the engine [auto] picks for each, persisted
+   to BENCH_kernels.json as the repo's perf baseline. *)
 
 open Bechamel
 open Toolkit
@@ -21,7 +22,10 @@ module Cutset = Indaas_faultgraph.Cutset
 module Bdd = Indaas_faultgraph.Bdd
 module Fattree = Indaas_topology.Fattree
 module Depdb = Indaas_depdata.Depdb
+module Dependency = Indaas_depdata.Dependency
+module Collectors = Indaas_depdata.Collectors
 module Builder = Indaas_sia.Builder
+module Audit = Indaas_sia.Audit
 module Prng = Indaas_util.Prng
 module Json = Indaas_util.Json
 module Timing = Indaas_util.Timing
@@ -266,9 +270,175 @@ let compare_engines ~smoke =
     rows;
   rows
 
+(* --- fat-tree tier: the deployments audits see --------------------------- *)
+
+type fattree_case = {
+  ft_name : string;
+  spec : Builder.spec;
+  ft_graph : Graph.t;
+}
+
+(* The records an audit of [servers] reads from a fat-tree DepDB
+   collected the way the serving benchmark's corpus is: fat-tree
+   routes, lshw standard profiles plus one PDU per pair of racks, and
+   one small software record per server. Only the deployment's own
+   servers get records — the footprint a cache-missing audit builds
+   from. *)
+let fattree_footprint tree servers =
+  let name = Fattree.server_name tree in
+  let pdu i =
+    Collectors.shared_hardware ~machines:[ name i ] ~hw_type:"PDU"
+      ~dep:(Printf.sprintf "PDU-%d" (Fattree.rack_of_server tree i / 2))
+  in
+  let software i =
+    let pod = Fattree.pod_of_server tree i in
+    Dependency.software ~pgm:"riak" ~host:(name i)
+      ~deps:
+        [
+          Printf.sprintf "libc6-build%d" (pod mod 2);
+          Printf.sprintf "openssl-pod%d" pod;
+          name i ^ "-riak-conf";
+        ]
+  in
+  Collectors.run
+    ((Collectors.static ~name:"nsdminer"
+        (List.concat_map (fun i -> Fattree.network_records tree ~server:i) servers)
+     :: Collectors.lshw
+          (List.map (fun i -> Collectors.standard_profile (name i)) servers)
+     :: List.map pdu servers)
+    @ [ Collectors.static ~name:"apt" (List.map software servers) ])
+
+(* [n] distinct servers drawn with a seed fixed by the case's shape, so
+   each case is the same deployment whatever else the tier runs. *)
+let fattree_case ~k ~n ~required =
+  let tree = Fattree.create ~k in
+  let rng = Prng.of_int ((1000 * k) + (10 * n) + required) in
+  let servers =
+    Array.to_list
+      (Prng.sample_without_replacement rng n
+         (Array.init (Fattree.server_count tree) Fun.id))
+  in
+  let spec =
+    Builder.spec ~required (List.map (Fattree.server_name tree) servers)
+  in
+  {
+    ft_name = Printf.sprintf "k=%d %d-of-%d" k required n;
+    spec;
+    ft_graph = Builder.build (fattree_footprint tree servers) spec;
+  }
+
+let fattree_cases ~smoke =
+  let k = if smoke then 4 else 8 in
+  let shapes = [ (2, 1); (3, 2); (3, 1); (4, 2) ] in
+  List.map (fun (n, required) -> fattree_case ~k ~n ~required) shapes
+  @ if smoke then [] else [ fattree_case ~k:16 ~n:2 ~required:1 ]
+
+(* The fastest of [reps] runs, with the result of the last. *)
+let best_of ~reps f =
+  let rec go i best =
+    let r, s = Timing.time f in
+    let best = Float.min best s in
+    if i >= reps then (r, best) else go (i + 1) best
+  in
+  go 1 infinity
+
+(* Which engine(s) [auto] ran, read off the spans it records: "enum",
+   "bdd", or "enum+bdd" after a budget fallback. *)
+let auto_engines graph =
+  let _, spans =
+    Bench_common.with_spans (fun () -> Audit.risk_groups Audit.auto_rg graph)
+  in
+  List.filter_map
+    (fun span ->
+      match span.Indaas_obs.Span.name with
+      | "rg.enum" -> Some "enum"
+      | "rg.bdd" -> Some "bdd"
+      | _ -> None)
+    spans
+  |> String.concat "+"
+
+type fattree_row = {
+  case : fattree_case;
+  threshold : int;
+  rgs : int;
+  enum_seconds : float;
+  bdd_seconds : float;
+  auto : string;
+}
+
+let compare_fattree ~smoke =
+  Bench_common.subheading
+    "RG engines on fat-tree deployments (network + lshw + PDU + apt)";
+  let reps = if smoke then 1 else 5 in
+  let table =
+    Indaas_util.Table.create
+      ~aligns:Indaas_util.Table.[ Left; Right; Right; Right; Right; Left ]
+      [ "case"; "threshold"; "RGs"; "enum"; "bdd"; "auto" ]
+  in
+  let rows =
+    List.map
+      (fun case ->
+        let graph = case.ft_graph in
+        let enum, enum_seconds =
+          best_of ~reps (fun () -> Cutset.minimal_risk_groups graph)
+        in
+        let bdd, bdd_seconds =
+          best_of ~reps (fun () -> Bdd.minimal_risk_groups graph)
+        in
+        if enum <> bdd then
+          failwith
+            (Printf.sprintf "bench_kernels: engines diverged on %S" case.ft_name);
+        let row =
+          {
+            case;
+            threshold = Builder.expected_rg_size case.spec;
+            rgs = List.length enum;
+            enum_seconds;
+            bdd_seconds;
+            auto = auto_engines graph;
+          }
+        in
+        Indaas_util.Table.add_row table
+          [
+            case.ft_name;
+            string_of_int row.threshold;
+            string_of_int row.rgs;
+            Bench_common.seconds enum_seconds;
+            Bench_common.seconds bdd_seconds;
+            row.auto;
+          ];
+        row)
+      (fattree_cases ~smoke)
+  in
+  Indaas_util.Table.print table;
+  List.iter
+    (fun row ->
+      let faster = if row.bdd_seconds < row.enum_seconds then "bdd" else "enum" in
+      if row.auto <> faster then
+        Bench_common.note "%s: auto ran %s, %s was faster" row.case.ft_name
+          row.auto faster)
+    rows;
+  rows
+
+let fattree_json row =
+  Json.Obj
+    [
+      ("name", Json.String row.case.ft_name);
+      ( "servers",
+        Json.List
+          (List.map (fun s -> Json.String s) row.case.spec.Builder.servers) );
+      ("required", Json.Int row.case.spec.Builder.required);
+      ("threshold", Json.Int row.threshold);
+      ("basics", Json.Int (Array.length (Graph.basic_ids row.case.ft_graph)));
+      ("rgs", Json.Int row.rgs);
+      ("enum_seconds", Json.Float row.enum_seconds);
+      ("bdd_seconds", Json.Float row.bdd_seconds);
+      ("auto", Json.String row.auto);
+    ]
+
 let baseline_file = "BENCH_kernels.json"
 
-let emit_json ~smoke rows =
+let emit_json ~smoke rows fattree_rows =
   let mode_name =
     if smoke then "smoke"
     else
@@ -306,17 +476,20 @@ let emit_json ~smoke rows =
                        Json.List (List.map Indaas_obs.Span.to_json spans) );
                    ])
                rows) );
+        ("fattree", Json.List (List.map fattree_json fattree_rows));
       ]
   in
   Bench_common.write_json ~path:baseline_file json
 
 let run_smoke () =
   Bench_common.heading "Kernel smoke: RG engine comparison";
-  emit_json ~smoke:true (compare_engines ~smoke:true)
+  let rows = compare_engines ~smoke:true in
+  emit_json ~smoke:true rows (compare_fattree ~smoke:true)
 
 let run () =
   Bench_common.heading "Kernel micro-benchmarks (bechamel)";
-  emit_json ~smoke:false (compare_engines ~smoke:false);
+  let rows = compare_engines ~smoke:false in
+  emit_json ~smoke:false rows (compare_fattree ~smoke:false);
   let instances = Instance.[ monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.8) () in
   let analysis =

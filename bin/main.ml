@@ -81,9 +81,10 @@ let engine_info =
     ~doc:
       "Exact minimal-RG engine: $(b,enum) (bottom-up enumeration with \
        absorption), $(b,bdd) (symbolic BDD minimal-solutions pass, no \
-       family budget), or $(b,auto) (enumeration, falling back to BDD \
-       when the cut-set budget trips). All three return identical \
-       families. Ignored with --algorithm sampling."
+       family budget), or $(b,auto) (BDD when 3 or more servers must \
+       fail together, as in a 1-of-3 deployment; otherwise enumeration, \
+       falling back to BDD when the cut-set budget trips). All three \
+       return identical families. Ignored with --algorithm sampling."
 
 let rounds_info =
   Arg.info [ "rounds" ] ~docv:"N"
@@ -113,7 +114,9 @@ let max_family_arg =
              "Cut-set budget of the $(b,enum) engine: abort (or, under \
               $(b,--engine auto), switch to the BDD engine) when a \
               minimized intermediate family exceeds $(docv) sets (default \
-              %d)."
+              %d). Under $(b,--engine auto) it bounds only deployments \
+              that fail when 1 or 2 servers do; wider ones run BDD \
+              directly."
              Cutset.default_max_family))
 
 (* Budget overruns of the enumeration engine surface as a clean error
@@ -387,9 +390,9 @@ let sia_cmd =
     enable_obs ?injector ~trace ~metrics ~seed:p.seed ();
     let report, degradation, degraded =
       Obs.with_span "sia.audit" @@ fun () ->
-      let db, degradation =
+      let db, degradation, emptied =
         match injector with
-        | None -> (Obs.with_span "collect" (fun () -> load_db db), None)
+        | None -> (Obs.with_span "collect" (fun () -> load_db db), None, None)
         | Some injector ->
             let raw = load_db db in
             let source =
@@ -401,7 +404,16 @@ let sia_cmd =
                 ~rng:(Indaas_util.Prng.of_int p.seed)
                 [ source ]
             in
-            (db, Some deg)
+            (* A deployment server whose every record the faults took
+               cannot be audited at all. (One the database never had
+               stays the usage error Builder.build reports.) *)
+            let had = Depdb.machines raw and kept = Depdb.machines db in
+            let emptied =
+              List.find_opt
+                (fun s -> List.mem s had && not (List.mem s kept))
+                p.servers
+            in
+            (db, Some deg, emptied)
       in
       let degraded =
         match degradation with Some d -> Degradation.degraded d | None -> false
@@ -411,6 +423,20 @@ let sia_cmd =
         prerr_endline "refusing to audit: dependency collection was degraded";
         exit 1
       end;
+      (match (emptied, degradation) with
+      | Some server, Some d ->
+          if json then
+            print_endline
+              (Indaas_util.Json.to_string ~indent:true
+                 (Indaas_util.Json.Obj
+                    [ ("degradation", Degradation.to_json d) ]))
+          else print_endline (Degradation.render d);
+          Printf.eprintf
+            "refusing to audit: collection left no dependency records for \
+             server %S\n"
+            server;
+          exit 1
+      | _ -> ());
       enforce_strict ~strict ~disable db;
       let report =
         with_budget_errors ?max_family:p.max_family (fun () ->
@@ -567,6 +593,10 @@ let pia_cmd =
   let run providers way protocol minhash_m key_bits nofm json seed disable
       trace metrics =
     let disable = List.concat disable in
+    (* Protocol parameters are checked whichever --protocol runs, before
+       any provider file is read, with the protocols' own messages. *)
+    if minhash_m < 1 then invalid_arg "Minhash.signature: m must be positive";
+    if key_bits < 16 then invalid_arg "Paillier.generate: modulus too small";
     enable_obs ~trace ~metrics ~seed ();
     let rng = Indaas_util.Prng.of_int seed in
     let providers =

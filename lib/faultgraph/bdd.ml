@@ -411,17 +411,6 @@ let family_size m z =
   in
   go z
 
-let iter_family m f z =
-  let rec go acc z =
-    if z = terminal_false then ()
-    else if z = terminal_true then f (List.rev acc)
-    else begin
-      go acc m.zlow.(z);
-      go (m.zvar.(z) :: acc) m.zhigh.(z)
-    end
-  in
-  go [] z
-
 (* The family is first held as a ZDD (each RG a chain built
    bottom-up, so every [zmk] is already in order), then turned into its
    union function node by node: (x, lo, hi) denotes lo OR (x AND hi),
@@ -471,16 +460,30 @@ let minimal_risk_groups ?(max_size = max_int) g =
     Obs.span_attr "bdd_nodes" (string_of_int (size m));
     Obs.span_attr "family_size" (string_of_int (family_size m z))
   end;
-  let out = ref [] in
-  iter_family m
-    (fun ranks ->
-      if List.length ranks <= max_size then begin
-        let rg = Array.of_list (List.map (fun r -> m.rank_to_basic.(r)) ranks) in
-        Array.sort compare rg;
-        out := rg :: !out
-      end)
-    z;
-  let family = Cutset.sort_family !out in
+  (* Read-out in canonical order, no sort: ranks ascend toward the
+     leaves and [rank_to_basic] ascends with them, so each path is a
+     sorted id array and, within one size, sets containing a node's
+     variable precede those that skip it — the lexicographic order.
+     The walk visits the low branch first and conses, so each size
+     bucket ends up high-branch first; concatenating the buckets by
+     size gives {!Cutset.sort_family}'s order. *)
+  let depth_limit = max 0 (min max_size (Array.length m.rank_to_basic)) in
+  let buckets = Array.make (depth_limit + 1) [] in
+  let path = Array.make depth_limit 0 in
+  let rec walk z depth =
+    if z = terminal_true then
+      buckets.(depth) <-
+        Array.init depth (fun i -> m.rank_to_basic.(path.(i))) :: buckets.(depth)
+    else if z <> terminal_false then begin
+      walk m.zlow.(z) depth;
+      if depth < depth_limit then begin
+        path.(depth) <- m.zvar.(z);
+        walk m.zhigh.(z) (depth + 1)
+      end
+    end
+  in
+  walk z 0;
+  let family = List.concat (Array.to_list buckets) in
   if Obs.on () then
     Obs.observe ~bounds:[| 1.; 2.; 5.; 10.; 50.; 100.; 1000.; 10000. |]
       "rg.family_size"

@@ -10,8 +10,9 @@
     ablation benchmark compares it with the inclusion–exclusion and
     Monte-Carlo baselines of {!Probability}.
 
-    Variables are the graph's basic events, ordered by topological
-    position. Hash-consing keeps the diagram reduced; [apply] is
+    Variables are the graph's basic events, ranked in
+    {!Graph.basic_ids} order (topological position, which is ascending
+    id). Hash-consing keeps the diagram reduced; [apply] is
     memoized per operation. *)
 
 type manager
@@ -73,8 +74,17 @@ val minimal_risk_groups :
 (** All minimal RGs of the top event, in {!Cutset.sort_family} order —
     the same family (and order) the enumeration engine returns.
 
-    @param max_size drop RGs larger than this bound from the result
-    (the symbolic pass itself is unbounded). *)
+    The order comes from the read-out itself, with no sort: variable
+    ranks follow {!Graph.basic_ids}, which lists basic events in
+    ascending id order, so one depth-first pass over the minimal
+    family that takes each node's high branch before its low one
+    yields each RG as an ascending id array, and RGs of one size in
+    lexicographic order. Bucketing the RGs by size then gives the
+    canonical order. The contract rests on that ascending rank order.
+
+    @param max_size drop RGs larger than this bound from the result:
+    the read-out does not descend past this depth (the symbolic pass
+    itself is unbounded). *)
 
 val minimal_rg_count : Graph.t -> int
 (** Number of minimal RGs, counted on the shared family structure

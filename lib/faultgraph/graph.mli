@@ -75,7 +75,8 @@ val top : t -> node_id
 val node : t -> node_id -> node
 val node_count : t -> int
 val basic_ids : t -> node_id array
-(** All basic events reachable from the top event. *)
+(** All basic events reachable from the top event, in ascending id
+    order ({!Bdd} ranks its variables by this order). *)
 
 val basic_names : t -> string list
 val name_of : t -> node_id -> string

@@ -53,15 +53,28 @@ let algorithm_label = function
 
 let default_rng () = Prng.of_int 0xD1CE
 
+(* How many of the top gate's children must fail for the top event:
+   the number of child families enumeration multiplies together. *)
+let top_threshold graph =
+  let top = Graph.node graph (Graph.top graph) in
+  match top.Graph.kind with
+  | Graph.Basic _ | Graph.Gate Graph.Or -> 1
+  | Graph.Gate Graph.And -> Array.length top.Graph.children
+  | Graph.Gate (Graph.Kofn k) -> k
+
 let risk_groups ?(rng = default_rng ()) algorithm graph =
   match algorithm with
   | Minimal_rg { max_family } -> Cutset.minimal_risk_groups ?max_family graph
   | Minimal_rg_bdd -> Bdd.minimal_risk_groups graph
+  | Auto_rg _ when top_threshold graph >= 3 ->
+      (* Products of three or more child families are where the
+         symbolic engine's shared structure wins (BENCH_kernels.json). *)
+      Bdd.minimal_risk_groups graph
   | Auto_rg { max_family } -> (
-      (* Enumeration with absorption is the fast path on the sparse
-         graphs audits usually see; when its family budget trips, the
-         symbolic engine computes the identical family without ever
-         materializing intermediate ones. *)
+      (* Enumeration with absorption is the fast path on 1- and 2-way
+         products; when its family budget trips, the symbolic engine
+         computes the identical family without ever materializing
+         intermediate ones. *)
       try Cutset.minimal_risk_groups ?max_family graph
       with Cutset.Too_many_cut_sets _ -> Bdd.minimal_risk_groups graph)
   | Failure_sampling config ->

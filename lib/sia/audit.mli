@@ -20,8 +20,13 @@ type rg_algorithm =
           minimal-solutions pass ({!Bdd.minimal_risk_groups}) —
           no family budget, slower on small sparse graphs *)
   | Auto_rg of { max_family : int option }
-      (** enumeration first; falls back to the BDD engine when the
-          enumeration budget trips *)
+      (** picks the engine from the top gate's threshold — how many of
+          its children must fail: the number of children for [And],
+          [k] for [Kofn k], 1 for [Or] or a basic event. At 3 or more
+          (e.g. a 1-of-3 or 2-of-4 deployment) it runs the BDD engine
+          directly; at 1 or 2 it enumerates, falling back to the BDD
+          engine when the enumeration budget trips. [max_family]
+          bounds only that enumeration. *)
   | Failure_sampling of Sampling.config  (** linear-time, incomplete *)
 
 val minimal_rg : rg_algorithm
@@ -30,7 +35,8 @@ val minimal_rg : rg_algorithm
 val minimal_rg_bdd : rg_algorithm
 
 val auto_rg : rg_algorithm
-(** [Auto_rg] with the default family budget. *)
+(** [Auto_rg] with the default family budget: the BDD engine for
+    3-way and wider products, enumeration for 1- and 2-way ones. *)
 
 val failure_sampling : rounds:int -> rg_algorithm
 (** Sampling with the paper's fair coins and witness shrinking. *)

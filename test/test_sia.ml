@@ -315,6 +315,40 @@ let test_audit_auto_uses_enum_within_budget () =
     (Alcotest.list (Alcotest.list Alcotest.string))
     "identical ranked output" (names enum) (names auto)
 
+(* Auto picks its engine from the top gate's threshold: the BDD when
+   three or more servers must fail together, enumeration (with its
+   budget fallback) below that. An explicit enumeration request still
+   enumerates. The engines' spans show which one ran. *)
+let test_audit_auto_engine_by_threshold () =
+  let db =
+    Depdb.of_string (Fixtures.read_file (Fixtures.example_path "webtier.xml"))
+  in
+  let engines_run algorithm ~required servers =
+    let g = Builder.build db (Builder.spec ~required servers) in
+    let (), registry =
+      Indaas_obs.Registry.with_scope (fun _ ->
+          ignore (Audit.risk_groups algorithm g))
+    in
+    List.concat_map
+      (fun root ->
+        let names = ref [] in
+        Indaas_obs.Span.iter
+          (fun span -> names := span.Indaas_obs.Span.name :: !names)
+          root;
+        List.rev !names)
+      (Indaas_obs.Registry.roots registry)
+  in
+  let three = [ "web1"; "web2"; "web3" ] in
+  let spans = Alcotest.(list string) in
+  check spans "1-of-3: BDD only" [ "rg.bdd" ]
+    (engines_run Audit.auto_rg ~required:1 three);
+  check spans "2-of-3: enumeration only" [ "rg.enum" ]
+    (engines_run Audit.auto_rg ~required:2 three);
+  check spans "1-of-2: enumeration only" [ "rg.enum" ]
+    (engines_run Audit.auto_rg ~required:1 [ "web1"; "web3" ]);
+  check spans "explicit enumeration at threshold 3" [ "rg.enum" ]
+    (engines_run Audit.minimal_rg ~required:1 three)
+
 (* Acceptance: on every examples/db database, both engines return
    byte-identical minimal RG families for a representative deployment. *)
 let example_deployments =
@@ -549,6 +583,8 @@ let () =
             test_audit_auto_falls_back_to_bdd;
           Alcotest.test_case "auto uses enumeration within budget" `Quick
             test_audit_auto_uses_enum_within_budget;
+          Alcotest.test_case "auto picks the engine by threshold" `Quick
+            test_audit_auto_engine_by_threshold;
           Alcotest.test_case "examples/db: engines byte-identical" `Quick
             test_examples_engines_identical;
           QCheck_alcotest.to_alcotest prop_engines_agree_on_builder_graphs;
