@@ -333,14 +333,42 @@ let fattree_cases ~smoke =
   List.map (fun (n, required) -> fattree_case ~k ~n ~required) shapes
   @ if smoke then [] else [ fattree_case ~k:16 ~n:2 ~required:1 ]
 
-(* The fastest of [reps] runs, with the result of the last. *)
-let best_of ~reps f =
-  let rec go i best =
+(* One engine on one graph over [reps] timed calls: the fastest of the
+   first five, the median and interquartile range of all, and the words
+   each call put into the major heap (promoted plus allocated there
+   directly). Best-of-5 alone hides GC cost: an engine can win it and
+   still lose a whole audit once its promotions are paid for. The heap
+   figure is the [Gc.quick_stat] major-words delta over all calls,
+   after a minor collection at each end so promotions are counted. *)
+type engine_timing = {
+  best5 : float;
+  median : float;
+  iqr : float;
+  major_words : float;
+}
+
+let reps = 11
+
+let time_engine f =
+  let times = Array.make reps 0. in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let result = ref None in
+  for i = 0 to reps - 1 do
     let r, s = Timing.time f in
-    let best = Float.min best s in
-    if i >= reps then (r, best) else go (i + 1) best
-  in
-  go 1 infinity
+    result := Some r;
+    times.(i) <- s
+  done;
+  Gc.minor ();
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  let pct = Indaas_util.Stats.percentile times in
+  ( Option.get !result,
+    {
+      best5 = Array.fold_left Float.min infinity (Array.sub times 0 5);
+      median = Indaas_util.Stats.median times;
+      iqr = pct 75. -. pct 25.;
+      major_words = words /. float_of_int reps;
+    } )
 
 (* Which engine(s) [auto] ran, read off the spans it records: "enum",
    "bdd", or "enum+bdd" after a budget fallback. *)
@@ -361,59 +389,66 @@ type fattree_row = {
   case : fattree_case;
   threshold : int;
   rgs : int;
-  enum_seconds : float;
-  bdd_seconds : float;
+  enum : engine_timing;
+  bdd : engine_timing;
   auto : string;
 }
 
 let compare_fattree ~smoke =
   Bench_common.subheading
     "RG engines on fat-tree deployments (network + lshw + PDU + apt)";
-  let reps = if smoke then 1 else 5 in
   let table =
     Indaas_util.Table.create
-      ~aligns:Indaas_util.Table.[ Left; Right; Right; Right; Right; Left ]
-      [ "case"; "threshold"; "RGs"; "enum"; "bdd"; "auto" ]
+      ~aligns:
+        Indaas_util.Table.
+          [ Left; Right; Right; Right; Right; Right; Right; Right; Right; Left ]
+      [
+        "case"; "threshold"; "RGs"; "enum best5"; "enum p50 (IQR)";
+        "enum major w"; "bdd best5"; "bdd p50 (IQR)"; "bdd major w"; "auto";
+      ]
+  in
+  let cells t =
+    [
+      Bench_common.seconds t.best5;
+      Printf.sprintf "%s (%s)" (Bench_common.seconds t.median)
+        (Bench_common.seconds t.iqr);
+      Printf.sprintf "%.0f" t.major_words;
+    ]
   in
   let rows =
     List.map
       (fun case ->
         let graph = case.ft_graph in
-        let enum, enum_seconds =
-          best_of ~reps (fun () -> Cutset.minimal_risk_groups graph)
+        let enum_rgs, enum =
+          time_engine (fun () -> Cutset.minimal_risk_groups graph)
         in
-        let bdd, bdd_seconds =
-          best_of ~reps (fun () -> Bdd.minimal_risk_groups graph)
+        let bdd_rgs, bdd =
+          time_engine (fun () -> Bdd.minimal_risk_groups graph)
         in
-        if enum <> bdd then
+        if enum_rgs <> bdd_rgs then
           failwith
             (Printf.sprintf "bench_kernels: engines diverged on %S" case.ft_name);
         let row =
           {
             case;
             threshold = Builder.expected_rg_size case.spec;
-            rgs = List.length enum;
-            enum_seconds;
-            bdd_seconds;
+            rgs = List.length enum_rgs;
+            enum;
+            bdd;
             auto = auto_engines graph;
           }
         in
         Indaas_util.Table.add_row table
-          [
-            case.ft_name;
-            string_of_int row.threshold;
-            string_of_int row.rgs;
-            Bench_common.seconds enum_seconds;
-            Bench_common.seconds bdd_seconds;
-            row.auto;
-          ];
+          ((case.ft_name :: string_of_int row.threshold
+           :: string_of_int row.rgs :: cells enum)
+          @ cells bdd @ [ row.auto ]);
         row)
       (fattree_cases ~smoke)
   in
   Indaas_util.Table.print table;
   List.iter
     (fun row ->
-      let faster = if row.bdd_seconds < row.enum_seconds then "bdd" else "enum" in
+      let faster = if row.bdd.best5 < row.enum.best5 then "bdd" else "enum" in
       if row.auto <> faster then
         Bench_common.note "%s: auto ran %s, %s was faster" row.case.ft_name
           row.auto faster)
@@ -431,8 +466,14 @@ let fattree_json row =
       ("threshold", Json.Int row.threshold);
       ("basics", Json.Int (Array.length (Graph.basic_ids row.case.ft_graph)));
       ("rgs", Json.Int row.rgs);
-      ("enum_seconds", Json.Float row.enum_seconds);
-      ("bdd_seconds", Json.Float row.bdd_seconds);
+      ("enum_seconds", Json.Float row.enum.best5);
+      ("bdd_seconds", Json.Float row.bdd.best5);
+      ("enum_median_seconds", Json.Float row.enum.median);
+      ("enum_iqr_seconds", Json.Float row.enum.iqr);
+      ("enum_major_words", Json.Float row.enum.major_words);
+      ("bdd_median_seconds", Json.Float row.bdd.median);
+      ("bdd_iqr_seconds", Json.Float row.bdd.iqr);
+      ("bdd_major_words", Json.Float row.bdd.major_words);
       ("auto", Json.String row.auto);
     ]
 

@@ -18,7 +18,6 @@ module Agent = Indaas.Agent
 module Chaos = Indaas.Chaos
 module Fault = Indaas_resilience.Fault
 module Degradation = Indaas_resilience.Degradation
-module Cutset = Indaas_faultgraph.Cutset
 module Sia_audit = Indaas_sia.Audit
 module Params = Indaas_sia.Params
 module Sia_report = Indaas_sia.Report
@@ -76,16 +75,6 @@ let algorithm_info =
   Arg.info [ "algorithm" ] ~docv:"ALG"
     ~doc:"Risk-group algorithm: $(b,minimal) (exact) or $(b,sampling)."
 
-let engine_info =
-  Arg.info [ "engine" ] ~docv:"ENGINE"
-    ~doc:
-      "Exact minimal-RG engine: $(b,enum) (bottom-up enumeration with \
-       absorption), $(b,bdd) (symbolic BDD minimal-solutions pass, no \
-       family budget), or $(b,auto) (BDD when 3 or more servers must \
-       fail together, as in a 1-of-3 deployment; otherwise enumeration, \
-       falling back to BDD when the cut-set budget trips). All three \
-       return identical families. Ignored with --algorithm sampling."
-
 let rounds_info =
   Arg.info [ "rounds" ] ~docv:"N"
     ~doc:"Sampling rounds (with --algorithm sampling)."
@@ -98,40 +87,8 @@ let algorithm_arg =
   Arg.(value & opt (enum Params.algorithms) Params.default.algorithm
        & algorithm_info)
 
-let engine_arg =
-  Arg.(value & opt (enum Params.engines) Params.default.engine & engine_info)
-
 let rounds_arg = Arg.(value & opt int Params.default.rounds & rounds_info)
 let required_arg = Arg.(value & opt int Params.default.required & required_info)
-
-let max_family_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "max-family" ] ~docv:"N"
-        ~doc:
-          (Printf.sprintf
-             "Cut-set budget of the $(b,enum) engine: abort (or, under \
-              $(b,--engine auto), switch to the BDD engine) when a \
-              minimized intermediate family exceeds $(docv) sets (default \
-              %d). Under $(b,--engine auto) it bounds only deployments \
-              that fail when 1 or 2 servers do; wider ones run BDD \
-              directly."
-             Cutset.default_max_family))
-
-(* Budget overruns of the enumeration engine surface as a clean error
-   instead of an uncaught Too_many_cut_sets crash. *)
-let with_budget_errors ?max_family f =
-  try f ()
-  with Cutset.Too_many_cut_sets n ->
-    let budget = Option.value max_family ~default:Cutset.default_max_family in
-    Printf.eprintf
-      "indaas: minimal-RG enumeration aborted: a minimized cut-set \
-       family reached %d sets, over the --max-family budget of %d.\n\
-       Retry with --engine bdd (exact, no family budget) or raise \
-       --max-family.\n"
-      n budget;
-    exit 3
 
 let prob_arg =
   Arg.(
@@ -150,13 +107,12 @@ let seed_arg =
 
 (* The audit specification shared by [sia] and [compare]. *)
 let params_arg servers =
-  let make servers required algorithm engine max_family rounds prob seed =
-    { Params.servers; required; engine; max_family; algorithm; rounds; prob;
-      seed }
+  let make servers required algorithm rounds prob seed =
+    { Params.servers; required; algorithm; rounds; prob; seed }
   in
   Term.(
-    const make $ servers $ required_arg $ algorithm_arg $ engine_arg
-    $ max_family_arg $ rounds_arg $ prob_arg $ seed_arg)
+    const make $ servers $ required_arg $ algorithm_arg $ rounds_arg
+    $ prob_arg $ seed_arg)
 
 (* --- observability ----------------------------------------------------- *)
 
@@ -439,9 +395,8 @@ let sia_cmd =
       | _ -> ());
       enforce_strict ~strict ~disable db;
       let report =
-        with_budget_errors ?max_family:p.max_family (fun () ->
-            Sia_audit.audit ~rng:(Indaas_util.Prng.of_int p.seed) db
-              (Params.request p))
+        Sia_audit.audit ~rng:(Indaas_util.Prng.of_int p.seed) db
+          (Params.request p)
       in
       let report =
         match degradation with
@@ -559,9 +514,8 @@ let compare_cmd =
       Obs.with_span "sia.compare" @@ fun () ->
       let db = Obs.with_span "collect" (fun () -> load_db db) in
       let candidates = List.map (String.split_on_char ',') candidates in
-      with_budget_errors ?max_family:p.max_family (fun () ->
-          Sia_audit.audit_candidates ~rng:(Indaas_util.Prng.of_int p.seed) db
-            ~candidates (Params.request p))
+      Sia_audit.audit_candidates ~rng:(Indaas_util.Prng.of_int p.seed) db
+        ~candidates (Params.request p)
     in
     if json then
       print_endline
@@ -766,14 +720,10 @@ let case_cmd =
 (* --- indaas dot ----------------------------------------------------------------- *)
 
 let dot_cmd =
-  let run db servers required output strict disable engine max_family
-      highlight_rg =
+  let run db servers required output strict disable highlight_rg =
     let db = load_db db in
     enforce_strict ~strict ~disable:(List.concat disable) db;
-    let request =
-      Params.request
-        { Params.default with servers; required; engine; max_family }
-    in
+    let request = Params.request { Params.default with servers; required } in
     let graph = Builder.build db request.Sia_audit.spec in
     let highlight =
       match highlight_rg with
@@ -783,10 +733,7 @@ let dot_cmd =
             prerr_endline "indaas dot: --highlight-rg ranks start at 1";
             exit 124
           end;
-          let rgs =
-            with_budget_errors ?max_family (fun () ->
-                Sia_audit.risk_groups request.Sia_audit.algorithm graph)
-          in
+          let rgs = Sia_audit.risk_groups request.Sia_audit.algorithm graph in
           if rank > List.length rgs then begin
             Printf.eprintf
               "indaas dot: --highlight-rg %d, but the deployment has only %d \
@@ -815,13 +762,14 @@ let dot_cmd =
       & info [ "highlight-rg" ] ~docv:"RANK"
           ~doc:
             "Highlight the $(docv)-th minimal risk group (1 = smallest, in \
-             canonical family order), computed with the selected --engine.")
+             canonical family order): the exact minimal family that \
+             $(b,indaas sia) ranks.")
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export a deployment's fault graph in Graphviz format.")
     Term.(
       const run $ db_arg $ servers_arg $ required_arg $ output_arg $ strict_arg
-      $ disable_arg $ engine_arg $ max_family_arg $ highlight_arg)
+      $ disable_arg $ highlight_arg)
 
 (* --- indaas importance ------------------------------------------------------------ *)
 
@@ -1056,7 +1004,7 @@ let client_cmd =
     Buffer.contents buf
   in
   let run decode only snapshot submits audit_flag rg_query_flag compares
-      servers required engine max_family algorithm rounds prob seed deadline
+      servers required algorithm rounds prob seed deadline
       repeat stats_flag shutdown_flag =
     if decode then begin
       set_binary_mode_in stdin true;
@@ -1096,8 +1044,6 @@ let client_cmd =
         {
           Client.snapshot;
           required;
-          engine;
-          max_family;
           algorithm;
           rounds;
           prob;
@@ -1265,8 +1211,6 @@ let client_cmd =
       const run $ decode_arg $ only_arg $ snapshot_arg $ submit_arg
       $ audit_arg $ rg_query_arg $ compare_arg $ servers_arg
       $ stated Arg.int required_info
-      $ stated Arg.(enum Params.engines) engine_info
-      $ max_family_arg
       $ stated Arg.(enum Params.algorithms) algorithm_info
       $ stated Arg.int rounds_info $ prob_arg $ seed_arg $ deadline_arg
       $ repeat_arg $ stats_arg $ shutdown_arg)

@@ -1,8 +1,8 @@
 (** The RG/audit result cache.
 
     Entries are keyed by (snapshot content digest, request spec
-    digest, engine, family budget) — everything a deterministic audit
-    result is a function of. Both digests are canonical, so two
+    digest) — everything a deterministic audit result is a function
+    of. Both digests are canonical, so two
     textually different submissions with equal record sets share
     entries, and a delta submission that changes the record set
     changes the snapshot digest, orphaning the old entries; the server
@@ -18,9 +18,14 @@ module Json := Indaas_util.Json
 type key = {
   snapshot_digest : string;
   spec_digest : string;
-  engine : string;  (** ["enum"], ["bdd"], ["auto"], ["sampling"] *)
-  budget : int option;  (** the enumeration engine's family budget *)
+  engine : string;
+  budget : int option;
 }
+(** [engine] and [budget] are vestiges of the retired engine and
+    family-budget request parameters: the server fills them with the
+    constants ["auto"] and [None], and the servebench replay builds
+    keys with the same values. They stay until that replay is next
+    changed; ROADMAP item 3 deletes them. *)
 
 type t
 

@@ -20,8 +20,6 @@ let submit_deps ~id ?(snapshot = "default") ~source ~records () =
 type audit_options = {
   snapshot : string option;
   required : int option;
-  engine : Params.engine option;
-  max_family : int option;
   algorithm : Params.algorithm option;
   rounds : int option;
   prob : float option;
@@ -33,8 +31,6 @@ let audit_options =
   {
     snapshot = None;
     required = None;
-    engine = None;
-    max_family = None;
     algorithm = None;
     rounds = None;
     prob = None;
@@ -50,9 +46,6 @@ let option_params o =
   in
   field "snapshot" o.snapshot (fun s -> Json.String s)
   @ field "required" o.required (fun i -> Json.Int i)
-  @ field "engine" o.engine (fun e ->
-        Json.String (Params.name Params.engines e))
-  @ field "max-family" o.max_family (fun i -> Json.Int i)
   @ field "algorithm" o.algorithm (fun a ->
         Json.String (Params.name Params.algorithms a))
   @ field "rounds" o.rounds (fun i -> Json.Int i)

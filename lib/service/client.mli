@@ -19,8 +19,6 @@ val submit_deps :
 type audit_options = {
   snapshot : string option;
   required : int option;
-  engine : Indaas_sia.Params.engine option;
-  max_family : int option;
   algorithm : Indaas_sia.Params.algorithm option;
   rounds : int option;
   prob : float option;

@@ -116,8 +116,6 @@ let audit_params t ~servers params =
   {
     Params.servers;
     required = int_param ~default:d.required "required" params;
-    engine = enum_param ~default:d.engine "engine" Params.engines params;
-    max_family = int_opt_param "max-family" params;
     algorithm =
       enum_param ~default:d.algorithm "algorithm" Params.algorithms params;
     rounds = int_param ~default:d.rounds "rounds" params;
@@ -147,11 +145,6 @@ let footprint_db t name ~machines =
 let guarded f =
   match f () with
   | result -> result
-  | exception Cutset.Too_many_cut_sets n ->
-      fail_code "budget-exceeded"
-        "minimal-RG enumeration reached %d cut sets, over the family \
-         budget; retry with engine \"bdd\" or a larger \"max-family\""
-        n
   | exception Invalid_argument msg -> bad "%s" msg
   | exception Failure msg -> fail_code "audit-error" "%s" msg
 
@@ -189,9 +182,9 @@ let submit_deps t params =
 
 (* The audit-shaped methods: decode the spec, answer from the cache,
    and on a miss run [compute] over the DepDB of the servers the
-   request names (all candidates' servers for [compare]). The engine
-   and family budget live in their own cache-key fields; the spec
-   digest covers the rest of the request. *)
+   request names (all candidates' servers for [compare]). The spec
+   digest covers the whole request; the key's [engine] and [budget]
+   are constants (see cache.mli). *)
 let audit_method t ~meth ?candidates ~servers params compute =
   let snapshot = str_param ~default:"default" "snapshot" params in
   let p = audit_params t ~servers params in
@@ -201,8 +194,8 @@ let audit_method t ~meth ?candidates ~servers params compute =
       spec_digest =
         Indaas_crypto.Digest.sha256_hex
           (Json.to_string (Params.spec_json ~meth ?candidates p));
-      engine = Params.engine_label p;
-      budget = p.max_family;
+      engine = "auto";
+      budget = None;
     }
   in
   cached t key @@ fun () ->

@@ -12,19 +12,21 @@
     - [compare] — rank candidate deployments ([indaas compare]'s
       JSON).
     - [rg-query] — just the risk groups of a deployment, under the
-      request's engine and algorithm.
+      request's algorithm.
     - [stats] — snapshots, cache and scheduler counters.
     - [shutdown] — stop accepting input ({!serve} drains and returns).
 
     [audit], [compare] and [rg-query] take the fields of
     {!Indaas_sia.Params.t} under the names [servers] (or, for
     [compare], [candidates]: a list of server lists), [required],
-    [engine], [max-family], [algorithm], [rounds], [prob] and [seed],
-    plus [snapshot] (default ["default"]). An absent field takes
+    [algorithm], [rounds], [prob] and [seed], plus [snapshot]
+    (default ["default"]). An absent field takes
     {!Indaas_sia.Params.default}'s value, except [seed], which
-    defaults to the daemon's {!config} seed. Engine and algorithm
-    names are {!Indaas_sia.Params.engines} and
-    {!Indaas_sia.Params.algorithms}.
+    defaults to the daemon's {!config} seed. Algorithm names are
+    {!Indaas_sia.Params.algorithms}. Any other key is ignored,
+    including the retired [engine] and [max-family]: a request that
+    still carries them gets the bare request's bytes and cache
+    entry.
 
     Every request is dispatched inside a [service.request] span and
     counted; cache and scheduler activity surfaces as

@@ -6,16 +6,14 @@ module Prng = Indaas_util.Prng
 module Obs = Indaas_obs.Registry
 
 type rg_algorithm =
-  | Minimal_rg of { max_family : int option }
-  | Minimal_rg_bdd
   | Auto_rg of { max_family : int option }
   | Failure_sampling of Sampling.config
 
-let minimal_rg = Minimal_rg { max_family = None }
-let minimal_rg_bdd = Minimal_rg_bdd
 let auto_rg = Auto_rg { max_family = None }
 
+(* Zero rounds would find no RG and read as a clean deployment. *)
 let failure_sampling ~rounds =
+  if rounds < 1 then invalid_arg "Audit.failure_sampling: rounds must be >= 1";
   Failure_sampling { Sampling.default_config with Sampling.rounds }
 
 type ranking = Size_based | Probability_based
@@ -46,8 +44,6 @@ type deployment_report = {
 }
 
 let algorithm_label = function
-  | Minimal_rg _ -> "minimal_rg"
-  | Minimal_rg_bdd -> "minimal_rg_bdd"
   | Auto_rg _ -> "auto_rg"
   | Failure_sampling _ -> "failure_sampling"
 
@@ -64,8 +60,6 @@ let top_threshold graph =
 
 let risk_groups ?(rng = default_rng ()) algorithm graph =
   match algorithm with
-  | Minimal_rg { max_family } -> Cutset.minimal_risk_groups ?max_family graph
-  | Minimal_rg_bdd -> Bdd.minimal_risk_groups graph
   | Auto_rg _ when top_threshold graph >= 3 ->
       (* Products of three or more child families are where the
          symbolic engine's shared structure wins (BENCH_kernels.json). *)

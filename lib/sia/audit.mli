@@ -8,44 +8,37 @@ module Cutset = Indaas_faultgraph.Cutset
 module Bdd = Indaas_faultgraph.Bdd
 module Sampling = Indaas_faultgraph.Sampling
 
-(** Pluggable RG-determination backend (§4.1.2). The three exact
-    backends return the identical family in identical order. *)
+(** RG-determination method (§4.1.2): the exact minimal family, or
+    failure sampling. *)
 type rg_algorithm =
-  | Minimal_rg of { max_family : int option }
-      (** bottom-up enumeration with absorption; exact, worst-case
-          exponential, raises {!Cutset.Too_many_cut_sets} past the
-          family budget ([None]: {!Cutset.default_max_family}) *)
-  | Minimal_rg_bdd
-      (** exact symbolic extraction: BDD compilation + Rauzy's
-          minimal-solutions pass ({!Bdd.minimal_risk_groups}) —
-          no family budget, slower on small sparse graphs *)
   | Auto_rg of { max_family : int option }
-      (** picks the engine from the top gate's threshold — how many of
-          its children must fail: the number of children for [And],
-          [k] for [Kofn k], 1 for [Or] or a basic event. At 3 or more
-          (e.g. a 1-of-3 or 2-of-4 deployment) it runs the BDD engine
-          directly; at 1 or 2 it enumerates, falling back to the BDD
-          engine when the enumeration budget trips. [max_family]
-          bounds only that enumeration. *)
+      (** the exact minimal family. The engine is picked from the top
+          gate's threshold — how many of its children must fail: the
+          number of children for [And], [k] for [Kofn k], 1 for [Or] or
+          a basic event. At 3 or more (e.g. a 1-of-3 or 2-of-4
+          deployment) it runs {!Bdd.minimal_risk_groups} directly; at 1
+          or 2 it runs {!Cutset.minimal_risk_groups}, falling back to
+          the BDD engine when that enumeration's family budget
+          [max_family] trips ([None]: {!Cutset.default_max_family}).
+          Both engines return the identical family in identical order,
+          so the choice never shows in the result; tests trip the
+          fallback with a small [max_family]. *)
   | Failure_sampling of Sampling.config  (** linear-time, incomplete *)
 
-val minimal_rg : rg_algorithm
-(** [Minimal_rg] with the default family budget. *)
-
-val minimal_rg_bdd : rg_algorithm
-
 val auto_rg : rg_algorithm
-(** [Auto_rg] with the default family budget: the BDD engine for
-    3-way and wider products, enumeration for 1- and 2-way ones. *)
+(** [Auto_rg] with the default family budget: the CLI's and the
+    daemon's exact method. *)
 
 val failure_sampling : rounds:int -> rg_algorithm
-(** Sampling with the paper's fair coins and witness shrinking. *)
+(** Sampling with the paper's fair coins and witness shrinking. Raises
+    [Invalid_argument] when [rounds < 1]: a run of no rounds finds no
+    RG, and its report would read as a clean deployment. *)
 
 val risk_groups :
   ?rng:Indaas_util.Prng.t -> rg_algorithm -> Graph.t -> Cutset.rg list
 (** The top event's risk groups (§4.1.2): the minimal family in
-    {!Cutset.sort_family} order from the exact engines, the distinct
-    RGs found by sampling. [rng] drives sampling (default as in
+    {!Cutset.sort_family} order from [Auto_rg], the distinct RGs found
+    by sampling. [rng] drives sampling (default as in
     {!audit}). *)
 
 (** Ranking discipline (§4.1.3). *)

@@ -1,13 +1,10 @@
 module Json = Indaas_util.Json
 
-type engine = Enum | Bdd | Auto
 type algorithm = Minimal | Sampling
 
 type t = {
   servers : string list;
   required : int;
-  engine : engine;
-  max_family : int option;
   algorithm : algorithm;
   rounds : int;
   prob : float option;
@@ -18,22 +15,14 @@ let default =
   {
     servers = [];
     required = 1;
-    engine = Auto;
-    max_family = None;
     algorithm = Minimal;
     rounds = 10_000;
     prob = None;
     seed = 42;
   }
 
-let engines = [ ("enum", Enum); ("bdd", Bdd); ("auto", Auto) ]
 let algorithms = [ ("minimal", Minimal); ("sampling", Sampling) ]
 let name table v = fst (List.find (fun (_, v') -> v' = v) table)
-
-let engine_label p =
-  match p.algorithm with
-  | Sampling -> name algorithms Sampling
-  | Minimal -> name engines p.engine
 
 let strings l = Json.List (List.map (fun s -> Json.String s) l)
 
@@ -53,11 +42,9 @@ let spec_json ~meth ?candidates p =
 
 let request p =
   let algorithm =
-    match (p.algorithm, p.engine) with
-    | Sampling, _ -> Audit.failure_sampling ~rounds:p.rounds
-    | Minimal, Enum -> Audit.Minimal_rg { max_family = p.max_family }
-    | Minimal, Bdd -> Audit.minimal_rg_bdd
-    | Minimal, Auto -> Audit.Auto_rg { max_family = p.max_family }
+    match p.algorithm with
+    | Minimal -> Audit.auto_rg
+    | Sampling -> Audit.failure_sampling ~rounds:p.rounds
   in
   let ranking =
     match p.prob with

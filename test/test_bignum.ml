@@ -1,5 +1,4 @@
 module Nat = Indaas_bignum.Nat
-module Zz = Indaas_bignum.Zz
 module Prime = Indaas_bignum.Prime
 module Prng = Indaas_util.Prng
 
@@ -272,47 +271,6 @@ let test_oakley_is_prime () =
   check Alcotest.bool "prime" true
     (Prime.is_probably_prime ~rounds:4 g Prime.oakley_group2)
 
-(* --- signed integers ------------------------------------------------ *)
-
-let zz = Alcotest.testable Zz.pp Zz.equal
-
-let test_zz_arith () =
-  let a = Zz.of_int (-15) and b = Zz.of_int 4 in
-  check zz "add" (Zz.of_int (-11)) (Zz.add a b);
-  check zz "sub" (Zz.of_int (-19)) (Zz.sub a b);
-  check zz "mul" (Zz.of_int (-60)) (Zz.mul a b);
-  check Alcotest.int "sign" (-1) (Zz.sign a);
-  check zz "neg" (Zz.of_int 15) (Zz.neg a)
-
-let test_zz_divmod_euclidean () =
-  (* Euclidean: remainder always in [0, |b|). *)
-  List.iter
-    (fun (a, b) ->
-      let q, r = Zz.divmod (Zz.of_int a) (Zz.of_int b) in
-      check Alcotest.int "r >= 0" 1 (if Zz.sign r >= 0 then 1 else 0);
-      check Alcotest.bool "r < |b|" true (Zz.to_int r < abs b);
-      check Alcotest.int "a = q*b + r" a ((Zz.to_int q * b) + Zz.to_int r))
-    [ (7, 3); (-7, 3); (7, -3); (-7, -3); (6, 3); (-6, 3); (0, 5) ]
-
-let test_zz_erem () =
-  check nat "positive" (n 1) (Zz.erem (Zz.of_int 7) (n 3));
-  check nat "negative" (n 2) (Zz.erem (Zz.of_int (-7)) (n 3));
-  check nat "zero" (n 0) (Zz.erem (Zz.of_int (-6)) (n 3))
-
-let test_zz_egcd () =
-  let g = Prng.of_int 18 in
-  for _ = 1 to 200 do
-    let a = Nat.add (big g 100) Nat.one and b = Nat.add (big g 100) Nat.one in
-    let d, x, y = Zz.egcd a b in
-    check nat "gcd matches" (Nat.gcd a b) d;
-    let lhs = Zz.add (Zz.mul (Zz.of_nat a) x) (Zz.mul (Zz.of_nat b) y) in
-    check zz "bezout" (Zz.of_nat d) lhs
-  done
-
-let test_zz_to_string () =
-  check Alcotest.string "neg" "-42" (Zz.to_string (Zz.of_int (-42)));
-  check Alcotest.string "zero" "0" (Zz.to_string Zz.zero)
-
 (* --- qcheck properties ---------------------------------------------- *)
 
 let gen_nat =
@@ -428,14 +386,6 @@ let () =
           Alcotest.test_case "generate" `Quick test_generate_prime;
           Alcotest.test_case "distinct pair" `Quick test_generate_distinct_pair;
           Alcotest.test_case "oakley group 2" `Slow test_oakley_is_prime;
-        ] );
-      ( "zz",
-        [
-          Alcotest.test_case "arith" `Quick test_zz_arith;
-          Alcotest.test_case "euclidean divmod" `Quick test_zz_divmod_euclidean;
-          Alcotest.test_case "erem" `Quick test_zz_erem;
-          Alcotest.test_case "egcd bezout" `Quick test_zz_egcd;
-          Alcotest.test_case "to_string" `Quick test_zz_to_string;
         ] );
       ( "properties",
         [

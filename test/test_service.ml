@@ -649,17 +649,57 @@ let test_server_error_responses () =
     (code (req ~id:6 "audit" ~params:(Json.Obj [ ("servers", Json.List []) ])));
   check Alcotest.string "unknown server" "bad-request"
     (code (audit_req ~id:7 [ "S1"; "Nope" ]));
-  check Alcotest.string "bad engine" "bad-request"
+  check Alcotest.string "bad algorithm" "bad-request"
     (code
        (Client.request ~id:8 ~meth:"audit"
           [
             ("servers", Json.List [ Json.String "S1" ]);
-            ("engine", Json.String "quantum");
+            ("algorithm", Json.String "quantum");
           ]));
   check Alcotest.string "unparsable records" "bad-request"
     (error_code
        (Server.handle srv
           (Client.submit_deps ~id:9 ~source:"db" ~records:"<garbage" ())))
+
+(* A client that still sends the retired engine and family-budget
+   keys gets the bare request's bytes, from the bare request's cache
+   entry. *)
+let test_server_ignores_retired_keys () =
+  let srv = submitted_server () in
+  let servers = Json.List [ Json.String "S1"; Json.String "S2" ] in
+  let bare = Client.request ~id:2 ~meth:"audit" [ ("servers", servers) ] in
+  let old =
+    Client.request ~id:2 ~meth:"audit"
+      [
+        ("servers", servers);
+        ("engine", Json.String "enum");
+        ("max-family", Json.Int 1);
+      ]
+  in
+  let bytes req = Frame.encode_response (Server.handle srv req) in
+  let first = bytes bare in
+  check Alcotest.string "identical bytes" first (bytes old);
+  let s = Server.cache_stats srv in
+  check Alcotest.int "one computation" 1 s.Cache.misses;
+  check Alcotest.int "old client hits" 1 s.Cache.hits
+
+(* Zero sampling rounds would find no RG and report a clean
+   deployment; the daemon refuses the request instead. *)
+let test_server_zero_rounds_is_bad_request () =
+  let srv = submitted_server () in
+  let options =
+    {
+      Client.audit_options with
+      algorithm = Some Params.Sampling;
+      rounds = Some 0;
+    }
+  in
+  check Alcotest.string "audit" "bad-request"
+    (error_code (Server.handle srv (audit_req ~id:2 ~options [ "S1"; "S2" ])));
+  check Alcotest.string "rg-query" "bad-request"
+    (error_code
+       (Server.handle srv
+          (Client.rg_query ~id:3 ~options ~servers:[ "S1"; "S2" ] ())))
 
 let example_records name = Fixtures.read_file (Fixtures.example_path name)
 
@@ -769,8 +809,6 @@ let gen_served_case =
   let* servers = deployment in
   let* candidates = list_size (int_range 1 3) deployment in
   let* required = opt (int_range 1 2) in
-  let* engine = opt (oneofl (List.map snd Params.engines)) in
-  let* max_family = opt (oneofl [ 1; 1_000_000 ]) in
   let* algorithm = opt (oneofl (List.map snd Params.algorithms)) in
   let* rounds = opt (int_range 1 50) in
   let* prob = opt (float_range 0.01 0.5) in
@@ -783,8 +821,6 @@ let gen_served_case =
       {
         Client.audit_options with
         required;
-        engine;
-        max_family;
         algorithm;
         rounds;
         prob;
@@ -807,8 +843,6 @@ let params_of_options servers (o : Client.audit_options) =
   {
     Params.servers;
     required = o.required |? d.required;
-    engine = o.engine |? d.engine;
-    max_family = o.max_family;
     algorithm = o.algorithm |? d.algorithm;
     rounds = o.rounds |? d.rounds;
     prob = o.prob;
@@ -836,8 +870,6 @@ let batch f =
   match f () with
   | json -> Ok (Json.to_string json)
   | exception Invalid_argument _ -> Error "bad-request"
-  | exception Indaas_faultgraph.Cutset.Too_many_cut_sets _ ->
-      Error "budget-exceeded"
   | exception Failure _ -> Error "audit-error"
 
 let prop_serve_audit_equals_batch =
@@ -870,15 +902,20 @@ let prop_serve_compare_equals_batch =
    to one or two sources, so a record often sits in two sources (or
    twice in one); routes name devices and other servers; m4 and "ghost"
    own no records. Queries audit, rg-query or compare deployments of
-   those servers. *)
+   those servers. Steps then ask queries from the pool (so repeats hit
+   the cache) between [submit-deps] deltas that replace one source's
+   records (or add a source). *)
 type footprint_query =
   | Audit of string list
   | Rg_query of string list
   | Compare of string list list
 
+type footprint_step = Ask of int | Delta of string * Dependency.t list
+
 type footprint_case = {
   sources : (string * Dependency.t list) list;
   queries : (footprint_query * Client.audit_options) list;
+  steps : footprint_step list;
 }
 
 let footprint_request id (query, options) =
@@ -954,24 +991,41 @@ let gen_footprint_case =
   let options =
     let* required = opt (int_range 1 2) in
     let* algorithm = opt (oneofl (List.map snd Params.algorithms)) in
-    let* max_family = opt (oneofl [ 1; 1_000_000 ]) in
     let+ seed = opt (int_bound 10_000) in
-    { Client.audit_options with required; algorithm; max_family; seed }
+    { Client.audit_options with required; algorithm; seed }
   in
-  let+ queries = list_size (int_range 1 4) (pair query options) in
-  { sources; queries }
+  let* queries = list_size (int_range 1 4) (pair query options) in
+  let step =
+    frequency
+      [
+        (3, map (fun i -> Ask i) (int_bound (List.length queries - 1)));
+        ( 1,
+          map2
+            (fun source records -> Delta (source, records))
+            (oneofl [ "apt"; "lshw"; "nsd" ])
+            (list_size (int_bound 6) record) );
+      ]
+  in
+  let+ steps = list_size (int_range 1 8) step in
+  { sources; queries; steps }
 
 let arb_footprint_case =
   QCheck.make gen_footprint_case ~print:(fun c ->
+      let source (name, records) =
+        Printf.sprintf "-- %s\n%s" name (Dependency.to_xml_many records)
+      in
       String.concat "\n"
-        (List.map
-           (fun (name, records) ->
-             Printf.sprintf "-- %s\n%s" name (Dependency.to_xml_many records))
-           c.sources
+        (List.map source c.sources
+        @ List.mapi
+            (fun i q ->
+              Printf.sprintf "q%d %s" i
+                (Json.to_string (Frame.request_to_json (footprint_request 0 q))))
+            c.queries
         @ List.map
-            (fun q ->
-              Json.to_string (Frame.request_to_json (footprint_request 0 q)))
-            c.queries))
+            (function
+              | Ask i -> Printf.sprintf "ask q%d" i
+              | Delta (name, records) -> "delta " ^ source (name, records))
+            c.steps))
 
 (* The batch path over the snapshot's whole union, for one query. *)
 let batch_of_union db (query, options) =
@@ -1010,37 +1064,76 @@ let batch_of_union db (query, options) =
             (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db
                ~candidates (Params.request p)))
 
+(* The cache-key spec of a query, as the daemon digests it. *)
+let footprint_spec (query, options) =
+  let meth, candidates, p =
+    match query with
+    | Audit servers -> ("audit", None, params_of_options servers options)
+    | Rg_query servers -> ("rg-query", None, params_of_options servers options)
+    | Compare c -> ("compare", Some c, params_of_options [] options)
+  in
+  Json.to_string (Params.spec_json ~meth ?candidates p)
+
+(* Every answer, hit or miss, equals the batch path over the current
+   union; and a delta that changes the snapshot digest drops exactly
+   the entries answered since the previous change. *)
 let prop_footprint_equals_union =
   QCheck.Test.make ~name:"a footprint miss answers as the union would"
     ~count:300 arb_footprint_case (fun c ->
       let srv = Server.create () and store = Snapshot.create () in
-      List.iteri
-        (fun i (source, records) ->
-          let records = Dependency.to_xml_many records in
-          ignore
-            (ok_exn
-               (Server.handle srv
-                  (Client.submit_deps ~id:i ~source ~records ())));
-          ignore
-            (Snapshot.update store ~snapshot:"default" ~source
-               (Dependency.of_xml_many records)))
-        c.sources;
-      let union = (Option.get (Snapshot.get store ~snapshot:"default")).db in
-      let machines = [ "m0"; "m1"; "m2"; "m3"; "m4"; "ghost" ] in
-      let foot =
-        Option.get (Snapshot.footprint store ~snapshot:"default" ~machines)
+      let submit ~id source records =
+        let records = Dependency.to_xml_many records in
+        ignore
+          (Snapshot.update store ~snapshot:"default" ~source
+             (Dependency.of_xml_many records));
+        ok_exn
+          (Server.handle srv (Client.submit_deps ~id ~source ~records ()))
       in
-      List.for_all
-        (fun machine ->
-          Depdb.network_paths foot ~src:machine
-          = Depdb.network_paths union ~src:machine
-          && Depdb.hardware_of foot ~machine = Depdb.hardware_of union ~machine
-          && Depdb.software_on foot ~machine = Depdb.software_on union ~machine)
-        machines
-      && List.for_all
-           (fun q ->
-             served srv (footprint_request 1 q) = batch_of_union union q)
-           c.queries)
+      List.iteri (fun i (source, records) -> ignore (submit ~id:i source records))
+        c.sources;
+      let union () = (Option.get (Snapshot.get store ~snapshot:"default")).db in
+      let digest () = Snapshot.digest store ~snapshot:"default" in
+      let machines = [ "m0"; "m1"; "m2"; "m3"; "m4"; "ghost" ] in
+      let footprint_matches () =
+        let union = union () in
+        let foot =
+          Option.get (Snapshot.footprint store ~snapshot:"default" ~machines)
+        in
+        List.for_all
+          (fun machine ->
+            Depdb.network_paths foot ~src:machine
+            = Depdb.network_paths union ~src:machine
+            && Depdb.hardware_of foot ~machine
+               = Depdb.hardware_of union ~machine
+            && Depdb.software_on foot ~machine
+               = Depdb.software_on union ~machine)
+          machines
+      in
+      (* Specs answered, hence cached, under the current digest. *)
+      let cached = ref [] in
+      let entries_match () =
+        (Server.cache_stats srv).Cache.entries = List.length !cached
+      in
+      let ask q =
+        let answer = served srv (footprint_request 1 q) in
+        let spec = footprint_spec q in
+        if Result.is_ok answer && not (List.mem spec !cached) then
+          cached := spec :: !cached;
+        answer = batch_of_union (union ()) q && entries_match ()
+      in
+      let step = function
+        | Ask i -> ask (List.nth c.queries i)
+        | Delta (source, records) ->
+            let old = digest () in
+            let reply = submit ~id:1 source records in
+            let dropped = if digest () = old then 0 else List.length !cached in
+            if dropped > 0 then cached := [];
+            Json.member "invalidated" reply = Some (Json.Int dropped)
+            && entries_match () && footprint_matches ()
+      in
+      footprint_matches ()
+      && List.for_all ask c.queries
+      && List.for_all step c.steps)
 
 (* Serving over the loopback: write the whole request stream, serve it
    in reads of at most [chunk] bytes, then collect the response bytes. *)
@@ -1362,6 +1455,10 @@ let () =
           Alcotest.test_case "delta invalidation" `Quick
             test_server_delta_invalidates_exactly;
           Alcotest.test_case "error responses" `Quick test_server_error_responses;
+          Alcotest.test_case "retired keys are ignored" `Quick
+            test_server_ignores_retired_keys;
+          Alcotest.test_case "zero sampling rounds" `Quick
+            test_server_zero_rounds_is_bad_request;
           Alcotest.test_case "rg-query follows the algorithm" `Quick
             test_rg_query_sampling_matches_batch;
           Alcotest.test_case "compare keys nested candidates" `Quick

@@ -255,15 +255,17 @@ let test_audit_bdd_engine_agrees () =
   let names r =
     List.sort compare (List.map (fun x -> x.Rank.rg_names) r.Audit.ranked)
   in
-  let enum =
-    Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg [ "S1"; "S2" ])
-  in
-  let bdd =
-    Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg_bdd [ "S1"; "S2" ])
-  in
+  let report = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
+  let g = report.Audit.graph in
+  let names_of rgs = List.sort compare (List.map (Cutset.names g) rgs) in
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
-    "same RGs" (names enum) (names bdd)
+    "enumeration's RGs" (names report)
+    (names_of (Cutset.minimal_risk_groups g));
+  check
+    (Alcotest.list (Alcotest.list Alcotest.string))
+    "BDD's RGs" (names report)
+    (names_of (Bdd.minimal_risk_groups g))
 
 (* Two servers with 20 disjoint hardware dependencies each: 400 minimal
    RGs, far over a budget of 100. *)
@@ -286,14 +288,11 @@ let test_audit_auto_falls_back_to_bdd () =
   let budgeted max_family =
     Audit.Auto_rg { max_family = Some max_family }
   in
-  (* the plain enumeration algorithm refuses this budget... *)
+  (* enumeration alone refuses this budget... *)
+  let g = Builder.build db (Builder.spec [ "S1"; "S2" ]) in
   check Alcotest.bool "enum refuses" true
     (try
-       ignore
-         (Audit.audit db
-            (Audit.request
-               ~algorithm:(Audit.Minimal_rg { max_family = Some 100 })
-               [ "S1"; "S2" ]));
+       ignore (Cutset.minimal_risk_groups ~max_family:100 g);
        false
      with Cutset.Too_many_cut_sets _ -> true);
   (* ...while Auto silently switches to the BDD engine and completes *)
@@ -307,27 +306,23 @@ let test_audit_auto_uses_enum_within_budget () =
   let auto =
     Audit.audit db (Audit.request ~algorithm:Audit.auto_rg [ "S1"; "S2" ])
   in
-  let enum =
-    Audit.audit db (Audit.request ~algorithm:Audit.minimal_rg [ "S1"; "S2" ])
-  in
-  let names r = List.map (fun x -> x.Rank.rg_names) r.Audit.ranked in
-  check
-    (Alcotest.list (Alcotest.list Alcotest.string))
-    "identical ranked output" (names enum) (names auto)
+  let g = auto.Audit.graph in
+  check Alcotest.bool "identical ranked output" true
+    (Rank.size_based g (Cutset.minimal_risk_groups g) = auto.Audit.ranked)
 
 (* Auto picks its engine from the top gate's threshold: the BDD when
    three or more servers must fail together, enumeration (with its
-   budget fallback) below that. An explicit enumeration request still
-   enumerates. The engines' spans show which one ran. *)
+   budget fallback) below that. The engines' spans show which one
+   ran. *)
 let test_audit_auto_engine_by_threshold () =
   let db =
     Depdb.of_string (Fixtures.read_file (Fixtures.example_path "webtier.xml"))
   in
-  let engines_run algorithm ~required servers =
+  let engines_run ~required servers =
     let g = Builder.build db (Builder.spec ~required servers) in
     let (), registry =
       Indaas_obs.Registry.with_scope (fun _ ->
-          ignore (Audit.risk_groups algorithm g))
+          ignore (Audit.risk_groups Audit.auto_rg g))
     in
     List.concat_map
       (fun root ->
@@ -340,14 +335,11 @@ let test_audit_auto_engine_by_threshold () =
   in
   let three = [ "web1"; "web2"; "web3" ] in
   let spans = Alcotest.(list string) in
-  check spans "1-of-3: BDD only" [ "rg.bdd" ]
-    (engines_run Audit.auto_rg ~required:1 three);
+  check spans "1-of-3: BDD only" [ "rg.bdd" ] (engines_run ~required:1 three);
   check spans "2-of-3: enumeration only" [ "rg.enum" ]
-    (engines_run Audit.auto_rg ~required:2 three);
+    (engines_run ~required:2 three);
   check spans "1-of-2: enumeration only" [ "rg.enum" ]
-    (engines_run Audit.auto_rg ~required:1 [ "web1"; "web3" ]);
-  check spans "explicit enumeration at threshold 3" [ "rg.enum" ]
-    (engines_run Audit.minimal_rg ~required:1 three)
+    (engines_run ~required:1 [ "web1"; "web3" ])
 
 (* Acceptance: on every examples/db database, both engines return
    byte-identical minimal RG families for a representative deployment. *)
@@ -370,9 +362,9 @@ let test_examples_engines_identical () =
       check Alcotest.bool (path ^ ": non-empty") true (enum <> []))
     example_deployments
 
-(* Every exact engine, and auto under a budget of 1 (which forces the
-   BDD fallback), returns the identical family on builder graphs from
-   random DepDBs, at every [required]. *)
+(* Both exact engines, auto, and auto under a budget of 1 (which
+   forces the BDD fallback) return the identical family on builder
+   graphs from random DepDBs, at every [required]. *)
 let prop_engines_agree_on_builder_graphs =
   QCheck.Test.make ~name:"engines agree on builder graphs from random DepDBs"
     ~count:300 Fixtures.gen_db (fun records ->
@@ -384,14 +376,11 @@ let prop_engines_agree_on_builder_graphs =
           match Builder.build db (Builder.spec ~required machines) with
           | exception Invalid_argument _ -> true
           | g ->
-              let enum = Audit.risk_groups Audit.minimal_rg g in
-              List.for_all
-                (fun algorithm -> Audit.risk_groups algorithm g = enum)
-                [
-                  Audit.minimal_rg_bdd;
-                  Audit.auto_rg;
-                  Audit.Auto_rg { max_family = Some 1 };
-                ])
+              let enum = Cutset.minimal_risk_groups g in
+              Bdd.minimal_risk_groups g = enum
+              && List.for_all
+                   (fun algorithm -> Audit.risk_groups algorithm g = enum)
+                   [ Audit.auto_rg; Audit.Auto_rg { max_family = Some 1 } ])
         (List.init (List.length machines) succ))
 
 (* --- Exact probabilities ----------------------------------------------------- *)
