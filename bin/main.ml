@@ -68,36 +68,11 @@ let servers_arg =
     & info [ "servers" ] ~docv:"S1,S2,..."
         ~doc:"Servers of the redundancy deployment to audit.")
 
-(* The audit-parameter flags. [sia] and [compare] fill an absent flag
-   from [Params.default]; [client] sends only stated flags, and the
-   daemon fills the rest from the same defaults. *)
-let algorithm_info =
-  Arg.info [ "algorithm" ] ~docv:"ALG"
-    ~doc:"Risk-group algorithm: $(b,minimal) (exact) or $(b,sampling)."
-
-let rounds_info =
-  Arg.info [ "rounds" ] ~docv:"N"
-    ~doc:"Sampling rounds (with --algorithm sampling)."
-
 let required_info =
   Arg.info [ "required" ] ~docv:"N"
     ~doc:"Replicas that must stay alive (n-of-m redundancy)."
 
-let algorithm_arg =
-  Arg.(value & opt (enum Params.algorithms) Params.default.algorithm
-       & algorithm_info)
-
-let rounds_arg = Arg.(value & opt int Params.default.rounds & rounds_info)
 let required_arg = Arg.(value & opt int Params.default.required & required_info)
-
-let prob_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "prob" ] ~docv:"P"
-        ~doc:
-          "Uniform component failure probability; enables probability-based \
-           ranking.")
 
 let seed_arg =
   Arg.(
@@ -105,14 +80,48 @@ let seed_arg =
     & opt int Params.default.seed
     & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
+(* The audit-parameter flags, one per {!Params.field}: the audit they
+   describe, each absent flag left at [Params.default], and the fields
+   they state. [sia] and [compare] use the former; [client] sends only
+   the stated fields, and the daemon fills the rest from the same
+   defaults (the seed from its own --seed). *)
+let audit_flags =
+  let flag field set ?none c i =
+    Term.(const (Option.map (fun v -> (field, fun p -> set p v)))
+          $ Arg.(value & opt (some' ?none c) None & i))
+  in
+  let make a b c d e =
+    let given = List.filter_map Fun.id [ a; b; c; d; e ] in
+    ( List.fold_left (fun p (_, set) -> set p) Params.default given,
+      List.map fst given )
+  in
+  let d = Params.default in
+  Term.(
+    const make
+    $ flag Params.Required (fun p v -> { p with Params.required = v })
+        ~none:d.required Arg.int required_info
+    $ flag Params.Algorithm (fun p v -> { p with Params.algorithm = v })
+        ~none:d.algorithm Arg.(enum Params.algorithms)
+        (Arg.info [ "algorithm" ] ~docv:"ALG"
+           ~doc:"Risk-group algorithm: $(b,minimal) (exact) or $(b,sampling).")
+    $ flag Params.Rounds (fun p v -> { p with Params.rounds = v })
+        ~none:d.rounds Arg.int
+        (Arg.info [ "rounds" ] ~docv:"N"
+           ~doc:"Sampling rounds (with --algorithm sampling).")
+    $ flag Params.Prob (fun p v -> { p with Params.prob = Some v }) Arg.float
+        (Arg.info [ "prob" ] ~docv:"P"
+           ~doc:
+             "Uniform component failure probability; enables \
+              probability-based ranking.")
+    $ flag Params.Seed (fun p v -> { p with Params.seed = v })
+        ~none:d.seed Arg.int
+        (Arg.info [ "seed" ] ~docv:"SEED"
+           ~doc:"Audit PRNG seed ($(b,client) leaves the daemon's by default)."))
+
 (* The audit specification shared by [sia] and [compare]. *)
 let params_arg servers =
-  let make servers required algorithm rounds prob seed =
-    { Params.servers; required; algorithm; rounds; prob; seed }
-  in
-  Term.(
-    const make $ servers $ required_arg $ algorithm_arg $ rounds_arg
-    $ prob_arg $ seed_arg)
+  Term.(const (fun servers (p, _) -> { p with Params.servers }) $ servers
+        $ audit_flags)
 
 (* --- observability ----------------------------------------------------- *)
 
@@ -1004,8 +1013,7 @@ let client_cmd =
     Buffer.contents buf
   in
   let run decode only snapshot submits audit_flag rg_query_flag compares
-      servers required algorithm rounds prob seed deadline
-      repeat stats_flag shutdown_flag =
+      servers (params, stated) deadline repeat stats_flag shutdown_flag =
     if decode then begin
       set_binary_mode_in stdin true;
       let responses =
@@ -1040,17 +1048,6 @@ let client_cmd =
         prerr_endline "indaas client: --deadline must be non-negative";
         exit 124
       end;
-      let options =
-        {
-          Client.snapshot;
-          required;
-          algorithm;
-          rounds;
-          prob;
-          seed;
-          deadline;
-        }
-      in
       let next_id = ref 0 in
       let id () =
         incr next_id;
@@ -1083,19 +1080,25 @@ let client_cmd =
       if audit_flag then begin
         let servers = query_servers "--audit" in
         for _ = 1 to repeat do
-          emit (Client.audit ~id:(id ()) ~options ~servers ())
+          emit
+            (Client.audit ~id:(id ()) ?snapshot ~stated ?deadline
+               { params with servers })
         done
       end;
       if rg_query_flag then begin
         let servers = query_servers "--rg-query" in
         for _ = 1 to repeat do
-          emit (Client.rg_query ~id:(id ()) ~options ~servers ())
+          emit
+            (Client.rg_query ~id:(id ()) ?snapshot ~stated ?deadline
+               { params with servers })
         done
       end;
       if compares <> [] then begin
         let candidates = List.map (String.split_on_char ',') compares in
         for _ = 1 to repeat do
-          emit (Client.compare_deployments ~id:(id ()) ~options ~candidates ())
+          emit
+            (Client.compare_deployments ~id:(id ()) ?snapshot ~stated
+               ?deadline ~candidates params)
         done
       end;
       if stats_flag then emit (Client.stats ~id:(id ()));
@@ -1172,15 +1175,6 @@ let client_cmd =
       & info [ "servers" ] ~docv:"S1,S2,..."
           ~doc:"Servers of the deployment for --audit / --rg-query.")
   in
-  (* A shared audit flag, left off the wire when absent. *)
-  let stated c i = Arg.(value & opt (some c) None & i) in
-  let seed_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Audit PRNG seed (server default: its --seed).")
-  in
   let deadline_arg =
     Arg.(
       value
@@ -1209,11 +1203,8 @@ let client_cmd =
   let term =
     Term.(
       const run $ decode_arg $ only_arg $ snapshot_arg $ submit_arg
-      $ audit_arg $ rg_query_arg $ compare_arg $ servers_arg
-      $ stated Arg.int required_info
-      $ stated Arg.(enum Params.algorithms) algorithm_info
-      $ stated Arg.int rounds_info $ prob_arg $ seed_arg $ deadline_arg
-      $ repeat_arg $ stats_arg $ shutdown_arg)
+      $ audit_arg $ rg_query_arg $ compare_arg $ servers_arg $ audit_flags
+      $ deadline_arg $ repeat_arg $ stats_arg $ shutdown_arg)
   in
   Cmd.v
     (Cmd.info "client"

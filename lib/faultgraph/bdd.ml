@@ -274,10 +274,6 @@ let sat_count m node ~vars =
   in
   go node 0
 
-let prob_of_var m node =
-  if node <= terminal_true then invalid_arg "Bdd.prob_of_var: terminal";
-  m.rank_to_basic.(m.var.(node))
-
 let is_terminal _ node =
   if node = terminal_false then Some false
   else if node = terminal_true then Some true

@@ -51,10 +51,6 @@ val sat_count : manager -> node -> vars:int -> float
 (** Number of failure states: assignments of [vars] variables under
     which the top event occurs (as a float — it can exceed 2^62). *)
 
-val prob_of_var : manager -> node -> Graph.node_id
-(** The decision variable of an internal node. Raises
-    [Invalid_argument] on a terminal. *)
-
 val is_terminal : manager -> node -> bool option
 (** [Some b] when the node is the constant [b]; [None] otherwise. *)
 

@@ -17,56 +17,26 @@ let submit_deps ~id ?(snapshot = "default") ~source ~records () =
       ("records", Json.String records);
     ]
 
-type audit_options = {
-  snapshot : string option;
-  required : int option;
-  algorithm : Params.algorithm option;
-  rounds : int option;
-  prob : float option;
-  seed : int option;
-  deadline : float option;
-}
-
-let audit_options =
-  {
-    snapshot = None;
-    required = None;
-    algorithm = None;
-    rounds = None;
-    prob = None;
-    seed = None;
-    deadline = None;
-  }
-
-(* Only stated options travel: the daemon owns the defaults, so a
-   bare request and an explicitly-default one share a cache entry. *)
-let option_params o =
-  let field name value to_json =
-    match value with Some v -> [ (name, to_json v) ] | None -> []
-  in
-  field "snapshot" o.snapshot (fun s -> Json.String s)
-  @ field "required" o.required (fun i -> Json.Int i)
-  @ field "algorithm" o.algorithm (fun a ->
-        Json.String (Params.name Params.algorithms a))
-  @ field "rounds" o.rounds (fun i -> Json.Int i)
-  @ field "prob" o.prob (fun f -> Json.Float f)
-  @ field "seed" o.seed (fun i -> Json.Int i)
-  @ field "deadline" o.deadline (fun f -> Json.Float f)
-
 let strings l = Json.List (List.map (fun s -> Json.String s) l)
 
-let audit ~id ?(options = audit_options) ~servers () =
-  request ~id ~meth:"audit"
-    (("servers", strings servers) :: option_params options)
+(* The request's own field first, then the snapshot, the stated audit
+   fields and the deadline. *)
+let audit_request meth first ~id ?snapshot ?(stated = Params.fields)
+    ?deadline p =
+  let snapshot = Option.map (fun s -> ("snapshot", Json.String s)) snapshot
+  and deadline = Option.map (fun f -> ("deadline", Json.Float f)) deadline in
+  request ~id ~meth
+    ((first p :: Option.to_list snapshot)
+    @ Params.to_json ~stated p @ Option.to_list deadline)
 
-let compare_deployments ~id ?(options = audit_options) ~candidates () =
-  request ~id ~meth:"compare"
-    (("candidates", Json.List (List.map strings candidates))
-    :: option_params options)
+let servers p = ("servers", strings p.Params.servers)
+let audit = audit_request "audit" servers
+let rg_query = audit_request "rg-query" servers
 
-let rg_query ~id ?(options = audit_options) ~servers () =
-  request ~id ~meth:"rg-query"
-    (("servers", strings servers) :: option_params options)
+let compare_deployments ~id ?snapshot ?stated ?deadline ~candidates =
+  audit_request "compare"
+    (fun _ -> ("candidates", Json.List (List.map strings candidates)))
+    ~id ?snapshot ?stated ?deadline
 
 let stats ~id = request ~id ~meth:"stats" []
 let shutdown ~id = request ~id ~meth:"shutdown" []

@@ -16,31 +16,29 @@ val submit_deps :
 (** [records] is Table 1 wire text. [snapshot] defaults to
     ["default"]. *)
 
-type audit_options = {
-  snapshot : string option;
-  required : int option;
-  algorithm : Indaas_sia.Params.algorithm option;
-  rounds : int option;
-  prob : float option;
-  seed : int option;
-  deadline : float option;
-}
+(** {1 Audit requests}
 
-val audit_options : audit_options
-(** All [None]: the server's defaults ({!Indaas_sia.Params.default}).
-    Only [Some] fields travel on the wire. *)
+    Each sends its own field ([servers], or [candidates] for
+    [compare]), then [snapshot] (server default ["default"]), the
+    [stated] fields of the {!Indaas_sia.Params.t} (default: all of
+    them) through {!Indaas_sia.Params.to_json}, and the scheduling
+    [deadline] in virtual seconds. A field left unstated takes the
+    daemon's default, so [~stated:[]] leaves its [--seed] in charge. *)
 
 val audit :
-  id:int -> ?options:audit_options -> servers:string list -> unit ->
-  Frame.request
+  id:int -> ?snapshot:string -> ?stated:Indaas_sia.Params.field list ->
+  ?deadline:float -> Indaas_sia.Params.t -> Frame.request
+(** An audit of the params' [servers]. *)
 
 val compare_deployments :
-  id:int -> ?options:audit_options -> candidates:string list list -> unit ->
+  id:int -> ?snapshot:string -> ?stated:Indaas_sia.Params.field list ->
+  ?deadline:float -> candidates:string list list -> Indaas_sia.Params.t ->
   Frame.request
+(** The params' [servers] are ignored. *)
 
 val rg_query :
-  id:int -> ?options:audit_options -> servers:string list -> unit ->
-  Frame.request
+  id:int -> ?snapshot:string -> ?stated:Indaas_sia.Params.field list ->
+  ?deadline:float -> Indaas_sia.Params.t -> Frame.request
 
 val stats : id:int -> Frame.request
 val shutdown : id:int -> Frame.request

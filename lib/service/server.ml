@@ -64,22 +64,6 @@ let str_param ?default name params =
       | Some d -> d
       | None -> bad "missing parameter %S" name)
 
-let int_opt_param name params =
-  match Json.member name params with
-  | Some (Json.Int i) -> Some i
-  | Some _ -> bad "parameter %S must be an integer" name
-  | None -> None
-
-let int_param ~default name params =
-  Option.value (int_opt_param name params) ~default
-
-let float_opt_param name params =
-  match Json.member name params with
-  | Some (Json.Float f) -> Some f
-  | Some (Json.Int i) -> Some (float_of_int i)
-  | Some _ -> bad "parameter %S must be a number" name
-  | None -> None
-
 (* Parameter [name]'s list of strings; any other shape is refused as
    not [what]. *)
 let strings ~name ~what json =
@@ -89,39 +73,12 @@ let strings ~name ~what json =
       List.map (function Json.String s -> s | _ -> malformed ()) items
   | _ -> malformed ()
 
-let enum_param ~default name table params =
-  let s = str_param ~default:(Params.name table default) name params in
-  match List.assoc_opt s table with
-  | Some v -> v
-  | None ->
-      let rec alternatives = function
-        | [ a; b ] -> a ^ " or " ^ b
-        | a :: rest -> a ^ ", " ^ alternatives rest
-        | [] -> ""
-      in
-      bad "unknown %s %S (%s)" name s (alternatives (List.map fst table))
-
 let servers_param params =
   let strings = strings ~name:"servers" ~what:"a list of strings" in
   match Option.map strings (Json.member "servers" params) with
   | Some [] -> bad "parameter \"servers\" must not be empty"
   | Some servers -> servers
   | None -> bad "missing parameter \"servers\""
-
-(* Everything a deterministic audit result is a function of, beyond
-   the snapshot contents; absent fields take {!Params.default}'s
-   values, except the seed, which is the daemon's. *)
-let audit_params t ~servers params =
-  let d = Params.default in
-  {
-    Params.servers;
-    required = int_param ~default:d.required "required" params;
-    algorithm =
-      enum_param ~default:d.algorithm "algorithm" Params.algorithms params;
-    rounds = int_param ~default:d.rounds "rounds" params;
-    prob = float_opt_param "prob" params;
-    seed = int_param ~default:t.config.seed "seed" params;
-  }
 
 let unknown_snapshot name =
   fail_code "unknown-snapshot" "no snapshot %S (submit dependency data first)"
@@ -140,7 +97,8 @@ let footprint_db t name ~machines =
   | Some db -> db
   | None -> unknown_snapshot name
 
-(* Audit computations can die many ways; every one must come back as
+(* Decoding a spec ([Invalid_argument] naming the malformed field) and
+   audit computations can die many ways; every one must come back as
    an error response, not kill the daemon. *)
 let guarded f =
   match f () with
@@ -180,14 +138,20 @@ let submit_deps t params =
     (Snapshot.info_fields ~snapshot info
     @ [ ("invalidated", Json.Int invalidated) ])
 
-(* The audit-shaped methods: decode the spec, answer from the cache,
-   and on a miss run [compute] over the DepDB of the servers the
-   request names (all candidates' servers for [compare]). The spec
-   digest covers the whole request; the key's [engine] and [budget]
-   are constants (see cache.mli). *)
+(* The audit-shaped methods: decode the spec (an absent field takes
+   {!Params.default}'s value, except the seed, which is the daemon's),
+   answer from the cache, and on a miss run [compute] over the DepDB
+   of the servers the request names (all candidates' servers for
+   [compare]). The spec digest covers the whole request; the key's
+   [engine] and [budget] are constants (see cache.mli). *)
 let audit_method t ~meth ?candidates ~servers params compute =
   let snapshot = str_param ~default:"default" "snapshot" params in
-  let p = audit_params t ~servers params in
+  let p =
+    guarded @@ fun () ->
+    Params.of_json
+      ~default:{ Params.default with servers; seed = t.config.seed }
+      params
+  in
   let key =
     {
       Cache.snapshot_digest = snapshot_digest t snapshot;

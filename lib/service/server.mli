@@ -16,17 +16,16 @@
     - [stats] — snapshots, cache and scheduler counters.
     - [shutdown] — stop accepting input ({!serve} drains and returns).
 
-    [audit], [compare] and [rg-query] take the fields of
-    {!Indaas_sia.Params.t} under the names [servers] (or, for
-    [compare], [candidates]: a list of server lists), [required],
-    [algorithm], [rounds], [prob] and [seed], plus [snapshot]
-    (default ["default"]). An absent field takes
-    {!Indaas_sia.Params.default}'s value, except [seed], which
-    defaults to the daemon's {!config} seed. Algorithm names are
-    {!Indaas_sia.Params.algorithms}. Any other key is ignored,
-    including the retired [engine] and [max-family]: a request that
-    still carries them gets the bare request's bytes and cache
-    entry.
+    [audit], [compare] and [rg-query] take [servers] (or, for
+    [compare], [candidates]: a list of server lists), [snapshot]
+    (default ["default"]) and the audit fields, which
+    {!Indaas_sia.Params.of_json} decodes from the one field table
+    that also encodes them ({!Indaas_sia.Params.field}). An absent
+    field takes {!Indaas_sia.Params.default}'s value, except [seed],
+    which defaults to the daemon's {!config} seed; a malformed one is
+    a [bad-request] naming it. Any other key is ignored, including
+    the retired [engine] and [max-family]: a request that still
+    carries them gets the bare request's bytes and cache entry.
 
     Every request is dispatched inside a [service.request] span and
     counted; cache and scheduler activity surfaces as

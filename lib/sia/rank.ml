@@ -30,12 +30,14 @@ let probability_based ~top_probability g rgs =
   List.map
     (fun rg ->
       let p = Probability.rg_probability g rg in
+      (* Pr(T) = 0 (a zero or underflowing component probability)
+         bounds every Pr(C) at 0 too: each RG's importance is 0. *)
       let importance =
         if top_probability > 0. then
-          Some (Probability.relative_importance ~top_probability ~rg_probability:p)
-        else None
+          Probability.relative_importance ~top_probability ~rg_probability:p
+        else 0.
       in
-      { (make g rg) with probability = Some p; importance })
+      { (make g rg) with probability = Some p; importance = Some importance })
     rgs
   |> List.sort (fun a b ->
          match (a.importance, b.importance) with

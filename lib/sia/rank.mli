@@ -19,8 +19,10 @@ val probability_based :
   top_probability:float -> Graph.t -> Cutset.rg list -> ranked list
 (** Descending by relative importance [I_C = Pr(C)/top_probability],
     where [top_probability] is the deployment's exact [Pr(T)]
-    ({!Indaas_faultgraph.Bdd.graph_probability}); importances are
-    [None] when it is [0.]. Requires every RG event to carry a
+    ({!Indaas_faultgraph.Bdd.graph_probability}); ties in name order.
+    When it is [0.] (a zero or underflowing component probability),
+    every [Pr(C)] is [0.] too and every importance is [0.]. Requires
+    every RG event to carry a
     probability ({!Indaas_faultgraph.Probability.Missing_probability}
     otherwise). *)
 

@@ -564,7 +564,9 @@ let server_of_records records =
 
 let submitted_server () = server_of_records table1
 
-let audit_req ~id ?options servers = Client.audit ~id ?options ~servers ()
+(* An audit of [servers] under {!Params.default}, every field stated. *)
+let audit_req ~id ?snapshot servers =
+  Client.audit ~id ?snapshot { Params.default with servers }
 
 let test_server_audit_matches_batch () =
   let srv = submitted_server () in
@@ -594,8 +596,8 @@ let test_server_caches_repeats () =
   check Alcotest.int "one computation" 1 s.Cache.misses;
   check Alcotest.int "one hit" 1 s.Cache.hits;
   (* A different spec is a different entry. *)
-  let options = { Client.audit_options with required = Some 2 } in
-  ignore (ok_exn (Server.handle srv (audit_req ~id:4 ~options [ "S1"; "S2" ])));
+  let p = { Params.default with servers = [ "S1"; "S2" ]; required = 2 } in
+  ignore (ok_exn (Server.handle srv (Client.audit ~id:4 p)));
   check Alcotest.int "distinct spec misses" 2 (Server.cache_stats srv).Cache.misses
 
 let test_server_delta_invalidates_exactly () =
@@ -606,8 +608,7 @@ let test_server_delta_invalidates_exactly () =
   ignore (submit ~id:1 ~snapshot:"a" ~source:"db" table1);
   ignore (submit ~id:2 ~snapshot:"b" ~source:"db" table1);
   let audit ~id snapshot =
-    let options = { Client.audit_options with snapshot = Some snapshot } in
-    ok_exn (Server.handle srv (audit_req ~id ~options [ "S1"; "S2" ]))
+    ok_exn (Server.handle srv (audit_req ~id ~snapshot [ "S1"; "S2" ]))
   in
   ignore (audit ~id:3 "a");
   ignore (audit ~id:4 "b");
@@ -640,9 +641,7 @@ let test_server_error_responses () =
     (code (req ~id:3 ~version:2 "stats"));
   check Alcotest.string "unknown snapshot" "unknown-snapshot"
     (code
-       (audit_req ~id:4
-          ~options:{ Client.audit_options with snapshot = Some "nope" }
-          [ "S1" ]));
+       (audit_req ~id:4 ~snapshot:"nope" [ "S1" ]));
   check Alcotest.string "missing servers" "bad-request"
     (code (req ~id:5 "audit"));
   check Alcotest.string "empty servers" "bad-request"
@@ -683,23 +682,190 @@ let test_server_ignores_retired_keys () =
   check Alcotest.int "one computation" 1 s.Cache.misses;
   check Alcotest.int "old client hits" 1 s.Cache.hits
 
+(* --- the request wire form ------------------------------------------------ *)
+
+(* The bytes [indaas client] sends, and the spec the cache key hashes,
+   pinned byte for byte: a codec change must leave both alone. *)
+let payload req =
+  let frame = Frame.encode_request req in
+  String.sub frame 4 (String.length frame - 4)
+
+let test_request_wire_golden () =
+  let p =
+    {
+      Params.servers = [ "S1"; "S2" ];
+      required = 2;
+      algorithm = Params.Sampling;
+      rounds = 7;
+      prob = Some 0.25;
+      seed = 9;
+    }
+  in
+  check Alcotest.string "every field stated"
+    {|{"v":1,"id":1,"method":"audit","params":{"servers":["S1","S2"],"snapshot":"snap","required":2,"algorithm":"sampling","rounds":7,"prob":0.25,"seed":9,"deadline":5.0}}|}
+    (payload (Client.audit ~id:1 ~snapshot:"snap" ~deadline:5. p));
+  check Alcotest.string "nothing stated"
+    {|{"v":1,"id":1,"method":"audit","params":{"servers":["S1","S2"]}}|}
+    (payload (Client.audit ~id:1 ~stated:[] p));
+  check Alcotest.string "compare"
+    {|{"v":1,"id":1,"method":"compare","params":{"candidates":[["a","b"],["c"]],"prob":0.5}}|}
+    (payload
+       (Client.compare_deployments ~id:1 ~stated:[ Params.Prob ]
+          ~candidates:[ [ "a"; "b" ]; [ "c" ] ]
+          { p with prob = Some 0.5 }));
+  check Alcotest.string "audit spec"
+    {|{"method":"audit","servers":["S1","S2"],"required":2,"algorithm":"sampling","rounds":7,"prob":0.25,"seed":9}|}
+    (Json.to_string (Params.spec_json ~meth:"audit" p));
+  check Alcotest.string "default compare spec"
+    {|{"method":"compare","candidates":[["a","b"],["c"]],"required":1,"algorithm":"minimal","rounds":10000,"prob":null,"seed":42}|}
+    (Json.to_string
+       (Params.spec_json ~meth:"compare"
+          ~candidates:[ [ "a"; "b" ]; [ "c" ] ]
+          Params.default))
+
+(* A random spec and the fields a client states of it. *)
+let gen_stated_params =
+  let open QCheck.Gen in
+  let* required = int_range 1 2 in
+  let* algorithm = oneofl (List.map snd Params.algorithms) in
+  let* rounds = int_range 1 50 in
+  let* prob = opt (float_range 0.01 0.5) in
+  let* seed = int_bound 10_000 in
+  let+ stated =
+    map
+      (fun keep -> List.filteri (fun i _ -> List.nth keep i) Params.fields)
+      (list_repeat (List.length Params.fields) bool)
+  in
+  ({ Params.servers = []; required; algorithm; rounds; prob; seed }, stated)
+
+let print_stated_params (p, stated) =
+  Json.to_string (Json.Obj (Params.to_json ~stated p))
+
+let field_name field =
+  fst (List.hd (Params.to_json ~stated:[ field ] Params.default))
+
+(* [p]'s value on each [stated] field and [d]'s on the rest, written
+   out field by field: the spec a request stating those fields of [p]
+   describes over defaults [d]. *)
+let stated_over ~stated (p : Params.t) (d : Params.t) =
+  let pick field v dv = if List.mem field stated then v else dv in
+  {
+    Params.servers = d.servers;
+    required = pick Params.Required p.required d.required;
+    algorithm = pick Params.Algorithm p.algorithm d.algorithm;
+    rounds = pick Params.Rounds p.rounds d.rounds;
+    prob = pick Params.Prob p.prob d.prob;
+    seed = pick Params.Seed p.seed d.seed;
+  }
+
+(* Decoding what the encoder sent gives back every stated field and
+   the default's value for every other one. *)
+let prop_params_codec =
+  QCheck.Test.make ~name:"Params.of_json inverts Params.to_json" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ((p, stated), (d, _)) ->
+          print_stated_params (p, stated) ^ " over "
+          ^ print_stated_params (d, Params.fields))
+        Gen.(pair gen_stated_params gen_stated_params))
+    (fun ((p, stated), (d, _)) ->
+      let d = { d with Params.servers = [ "S1" ] } in
+      Params.of_json ~default:d (Json.Obj (Params.to_json ~stated p))
+      = stated_over ~stated p d)
+
+let gen_json =
+  let open QCheck.Gen in
+  let text = string_size ~gen:printable (int_bound 8) in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) (float_range (-1e6) 1e6);
+               map
+                 (fun s -> Json.String s)
+                 (oneof [ text; oneofl (List.map fst Params.algorithms) ]);
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (3, leaf);
+               ( 1,
+                 map (fun l -> Json.List l) (list_size (int_bound 3) (self (n / 2)))
+               );
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 3) (pair text (self (n / 2)))) );
+             ])
+
+(* The shapes each field accepts, as the protocol states them. *)
+let well_shaped field json =
+  match (field, json) with
+  | (Params.Required | Params.Rounds | Params.Seed), Json.Int _ -> true
+  | Params.Algorithm, Json.String s -> List.mem_assoc s Params.algorithms
+  | Params.Prob, (Json.Float _ | Json.Int _ | Json.Null) -> true
+  | _ -> false
+
+(* A malformed field is refused with [Invalid_argument] naming it, and
+   the daemon answers the request with bad-request carrying the same
+   message; no other exception escapes either. *)
+let prop_params_malformed_field =
+  QCheck.Test.make ~name:"a malformed field is a bad-request naming it"
+    ~count:500
+    QCheck.(
+      make
+        ~print:(fun (field, json) ->
+          Printf.sprintf "%s := %s" (field_name field) (Json.to_string json))
+        Gen.(pair (oneofl Params.fields) gen_json))
+    (fun (field, json) ->
+      QCheck.assume (not (well_shaped field json));
+      let name = field_name field in
+      let fields =
+        ("servers", Json.List [ Json.String "S1" ])
+        :: List.map
+             (fun (n, v) -> (n, if n = name then json else v))
+             (Params.to_json ~stated:Params.fields Params.default)
+      in
+      let message =
+        match Params.of_json ~default:Params.default (Json.Obj fields) with
+        | _ -> None
+        | exception Invalid_argument msg -> Some msg
+      in
+      match message with
+      | None -> false
+      | Some msg -> (
+          Astring.String.is_infix ~affix:name msg
+          &&
+          match
+            (Server.handle (Server.create ())
+               (Client.request ~id:2 ~meth:"audit" fields))
+              .Frame.result
+          with
+          | Error { Frame.code = "bad-request"; message } -> message = msg
+          | _ -> false))
+
 (* Zero sampling rounds would find no RG and report a clean
    deployment; the daemon refuses the request instead. *)
 let test_server_zero_rounds_is_bad_request () =
   let srv = submitted_server () in
-  let options =
+  let p =
     {
-      Client.audit_options with
-      algorithm = Some Params.Sampling;
-      rounds = Some 0;
+      Params.default with
+      servers = [ "S1"; "S2" ];
+      algorithm = Params.Sampling;
+      rounds = 0;
     }
   in
   check Alcotest.string "audit" "bad-request"
-    (error_code (Server.handle srv (audit_req ~id:2 ~options [ "S1"; "S2" ])));
+    (error_code (Server.handle srv (Client.audit ~id:2 p)));
   check Alcotest.string "rg-query" "bad-request"
-    (error_code
-       (Server.handle srv
-          (Client.rg_query ~id:3 ~options ~servers:[ "S1"; "S2" ] ())))
+    (error_code (Server.handle srv (Client.rg_query ~id:3 p)))
 
 let example_records name = Fixtures.read_file (Fixtures.example_path name)
 
@@ -718,24 +884,14 @@ let test_rg_query_sampling_matches_batch () =
   let servers = [ "server0"; "server4" ] in
   List.iteri
     (fun i rounds ->
-      let options =
-        {
-          Client.audit_options with
-          algorithm = Some Params.Sampling;
-          rounds = Some rounds;
-        }
+      let p =
+        { Params.default with servers; algorithm = Params.Sampling; rounds }
       in
-      let served =
-        ok_exn
-          (Server.handle srv (Client.rg_query ~id:(i + 2) ~options ~servers ()))
-      in
+      let served = ok_exn (Server.handle srv (Client.rg_query ~id:(i + 2) p)) in
       let served =
         match Json.member "risk_groups" served with
         | Some (Json.List rgs) -> List.sort compare (List.map strings_of rgs)
         | _ -> Alcotest.fail "risk_groups"
-      in
-      let p =
-        { Params.default with servers; algorithm = Params.Sampling; rounds }
       in
       let report =
         Sia_audit.audit ~rng:(Prng.of_int p.seed) db (Params.request p)
@@ -763,7 +919,9 @@ let test_compare_keys_nested_candidates () =
   in
   let srv = server_of_records records in
   let compare ~id candidates =
-    ok_exn (Server.handle srv (Client.compare_deployments ~id ~candidates ()))
+    ok_exn
+      (Server.handle srv
+         (Client.compare_deployments ~id ~candidates Params.default))
   in
   ignore (compare ~id:2 [ [ "a"; ";"; "b" ] ]);
   let candidates = [ [ "a" ]; [ "b" ] ] in
@@ -781,16 +939,20 @@ let test_compare_keys_nested_candidates () =
 
 (* --- serve output equals batch output ------------------------------------- *)
 
+(* The spec the daemon must audit when [stated] of [p] travel: the
+   rest is {!Params.default}'s, the CLI's. *)
+let effective servers (p, stated) =
+  stated_over ~stated p { Params.default with servers }
+
 (* A random audit of one example DepDB: every field of the spec is
    either stated on the wire or left out, so the daemon's defaults must
-   be {!Params.default}, the CLI's. Deployments have 1-2 servers: a
-   3-way cross-pod fat-tree deployment under probability ranking takes
-   ~0.3 s (Monte-Carlo Pr(T)). *)
+   be {!Params.default}, the CLI's. Deployments have 1-2 servers, to
+   keep each case fast. *)
 type served_case = {
   example : string;
   servers : string list;
   candidates : string list list;
-  options : Client.audit_options;
+  spec : Params.t * Params.field list;
 }
 
 let example_machines =
@@ -808,46 +970,18 @@ let gen_served_case =
   in
   let* servers = deployment in
   let* candidates = list_size (int_range 1 3) deployment in
-  let* required = opt (int_range 1 2) in
-  let* algorithm = opt (oneofl (List.map snd Params.algorithms)) in
-  let* rounds = opt (int_range 1 50) in
-  let* prob = opt (float_range 0.01 0.5) in
-  let+ seed = opt (int_bound 10_000) in
-  {
-    example;
-    servers;
-    candidates;
-    options =
-      {
-        Client.audit_options with
-        required;
-        algorithm;
-        rounds;
-        prob;
-        seed;
-      };
-  }
+  let+ spec = gen_stated_params in
+  { example; servers; candidates; spec }
 
 let arb_served_case =
   QCheck.make gen_served_case ~print:(fun c ->
       Printf.sprintf "%s %s"
         c.example
         (Json.to_string
-           (Client.compare_deployments ~id:0 ~options:c.options
-              ~candidates:(c.servers :: c.candidates) ())
+           (let p, stated = c.spec in
+            Client.compare_deployments ~id:0 ~stated
+              ~candidates:(c.servers :: c.candidates) p)
              .Frame.params))
-
-let params_of_options servers (o : Client.audit_options) =
-  let d = Params.default in
-  let ( |? ) v default = Option.value v ~default in
-  {
-    Params.servers;
-    required = o.required |? d.required;
-    algorithm = o.algorithm |? d.algorithm;
-    rounds = o.rounds |? d.rounds;
-    prob = o.prob;
-    seed = o.seed |? d.seed;
-  }
 
 (* One daemon per example, reused across cases, so hits are checked
    as well as misses. *)
@@ -876,8 +1010,10 @@ let prop_serve_audit_equals_batch =
   QCheck.Test.make ~name:"served audit equals the batch report" ~count:150
     arb_served_case (fun c ->
       let srv, db = List.assoc c.example (Lazy.force example_servers) in
-      let p = params_of_options c.servers c.options in
-      served srv (Client.audit ~id:1 ~options:c.options ~servers:c.servers ())
+      let p = effective c.servers c.spec in
+      served srv
+        (Client.audit ~id:1 ~stated:(snd c.spec)
+           { (fst c.spec) with servers = c.servers })
       = batch (fun () ->
             Sia_report.deployment_to_json
               (Sia_audit.audit ~rng:(Prng.of_int p.seed) db
@@ -887,10 +1023,10 @@ let prop_serve_compare_equals_batch =
   QCheck.Test.make ~name:"served compare equals the batch ranking" ~count:100
     arb_served_case (fun c ->
       let srv, db = List.assoc c.example (Lazy.force example_servers) in
-      let p = params_of_options [] c.options in
+      let p = effective [] c.spec in
       served srv
-        (Client.compare_deployments ~id:1 ~options:c.options
-           ~candidates:c.candidates ())
+        (Client.compare_deployments ~id:1 ~stated:(snd c.spec)
+           ~candidates:c.candidates (fst c.spec))
       = batch (fun () ->
             Sia_report.comparison_to_json
               (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db
@@ -914,15 +1050,15 @@ type footprint_step = Ask of int | Delta of string * Dependency.t list
 
 type footprint_case = {
   sources : (string * Dependency.t list) list;
-  queries : (footprint_query * Client.audit_options) list;
+  queries : (footprint_query * (Params.t * Params.field list)) list;
   steps : footprint_step list;
 }
 
-let footprint_request id (query, options) =
+let footprint_request id (query, (p, stated)) =
   match query with
-  | Audit servers -> Client.audit ~id ~options ~servers ()
-  | Rg_query servers -> Client.rg_query ~id ~options ~servers ()
-  | Compare candidates -> Client.compare_deployments ~id ~options ~candidates ()
+  | Audit servers -> Client.audit ~id ~stated { p with servers }
+  | Rg_query servers -> Client.rg_query ~id ~stated { p with servers }
+  | Compare candidates -> Client.compare_deployments ~id ~stated ~candidates p
 
 let gen_footprint_case =
   let open QCheck.Gen in
@@ -988,13 +1124,7 @@ let gen_footprint_case =
         map (fun c -> Compare c) (list_size (int_range 1 3) deployment);
       ]
   in
-  let options =
-    let* required = opt (int_range 1 2) in
-    let* algorithm = opt (oneofl (List.map snd Params.algorithms)) in
-    let+ seed = opt (int_bound 10_000) in
-    { Client.audit_options with required; algorithm; seed }
-  in
-  let* queries = list_size (int_range 1 4) (pair query options) in
+  let* queries = list_size (int_range 1 4) (pair query gen_stated_params) in
   let step =
     frequency
       [
@@ -1028,15 +1158,15 @@ let arb_footprint_case =
             c.steps))
 
 (* The batch path over the snapshot's whole union, for one query. *)
-let batch_of_union db (query, options) =
+let batch_of_union db (query, spec) =
   match query with
   | Audit servers ->
-      let p = params_of_options servers options in
+      let p = effective servers spec in
       batch (fun () ->
           Sia_report.deployment_to_json
             (Sia_audit.audit ~rng:(Prng.of_int p.seed) db (Params.request p)))
   | Rg_query servers ->
-      let p = params_of_options servers options in
+      let p = effective servers spec in
       batch (fun () ->
           let { Sia_audit.spec; algorithm; _ } = Params.request p in
           let graph = Builder.build db spec in
@@ -1058,19 +1188,19 @@ let batch_of_union db (query, options) =
                      rgs) );
             ])
   | Compare candidates ->
-      let p = params_of_options [] options in
+      let p = effective [] spec in
       batch (fun () ->
           Sia_report.comparison_to_json
             (Sia_audit.audit_candidates ~rng:(Prng.of_int p.seed) db
                ~candidates (Params.request p)))
 
 (* The cache-key spec of a query, as the daemon digests it. *)
-let footprint_spec (query, options) =
+let footprint_spec (query, spec) =
   let meth, candidates, p =
     match query with
-    | Audit servers -> ("audit", None, params_of_options servers options)
-    | Rg_query servers -> ("rg-query", None, params_of_options servers options)
-    | Compare c -> ("compare", Some c, params_of_options [] options)
+    | Audit servers -> ("audit", None, effective servers spec)
+    | Rg_query servers -> ("rg-query", None, effective servers spec)
+    | Compare c -> ("compare", Some c, effective [] spec)
   in
   Json.to_string (Params.spec_json ~meth ?candidates p)
 
@@ -1325,7 +1455,7 @@ let k8_records =
    and the frames queued behind it are still served. *)
 let test_serve_oversized_response () =
   let servers, records = k8_records in
-  let options = { Client.audit_options with required = Some 1 } in
+  let p = { Params.default with servers } in
   let one =
     Frame.encode_response
       {
@@ -1334,7 +1464,7 @@ let test_serve_oversized_response () =
           Ok
             (ok_exn
                (Server.handle (server_of_records records)
-                  (Client.audit ~id:2 ~options ~servers ())));
+                  (Client.audit ~id:2 p)));
       }
   in
   let repeats = (Frame.max_frame / String.length one) + 1 in
@@ -1344,9 +1474,9 @@ let test_serve_oversized_response () =
          (encode_requests
             [
               Client.submit_deps ~id:1 ~source:"db" ~records ();
-              Client.compare_deployments ~id:2 ~options
+              Client.compare_deployments ~id:2
                 ~candidates:(List.init repeats (fun _ -> servers))
-                ();
+                p;
               Client.stats ~id:3;
               Client.shutdown ~id:4;
             ]))
@@ -1374,9 +1504,9 @@ let boundary_session =
     [
       Client.submit_deps ~id:1 ~source:"db" ~records:table1 ();
       audit_req ~id:2 [ "S1"; "S2" ];
-      Client.rg_query ~id:3 ~servers:[ "S1"; "S2" ] ();
+      Client.rg_query ~id:3 { Params.default with servers = [ "S1"; "S2" ] };
       Client.compare_deployments ~id:4 ~candidates:[ [ "S1" ]; [ "S1"; "S2" ] ]
-        ();
+        Params.default;
       Client.stats ~id:5;
       Client.shutdown ~id:6;
     ]
@@ -1457,6 +1587,10 @@ let () =
           Alcotest.test_case "error responses" `Quick test_server_error_responses;
           Alcotest.test_case "retired keys are ignored" `Quick
             test_server_ignores_retired_keys;
+          Alcotest.test_case "request wire golden" `Quick
+            test_request_wire_golden;
+          qtest prop_params_codec;
+          qtest prop_params_malformed_field;
           Alcotest.test_case "zero sampling rounds" `Quick
             test_server_zero_rounds_is_bad_request;
           Alcotest.test_case "rg-query follows the algorithm" `Quick

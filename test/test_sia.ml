@@ -420,6 +420,34 @@ let test_report_coherent () =
     report.Audit.ranked;
   check (Alcotest.float 1e-15) "exact Pr(T)" ((1. -. (0.9 ** 5.)) ** 2.) pr
 
+(* A legal zero probability, or one whose Pr(T) underflows, gives
+   every RG importance 0: the report ranks its RGs in name order and
+   scores 0. *)
+let test_zero_top_probability () =
+  List.iter
+    (fun (name, db, p, servers) ->
+      let report = Audit.audit db (weighted p servers) in
+      let names = List.map (fun r -> r.Rank.rg_names) report.Audit.ranked in
+      check (Alcotest.float 0.) (name ^ ": Pr(T)") 0.
+        (Option.get report.Audit.failure_probability);
+      check
+        Alcotest.(list (option (float 0.)))
+        (name ^ ": importances")
+        (List.map (fun _ -> Some 0.) names)
+        (List.map (fun r -> r.Rank.importance) report.Audit.ranked);
+      check Alcotest.(list (list string)) (name ^ ": name order")
+        (List.sort compare names) names;
+      check (Alcotest.float 0.) (name ^ ": score") 0.
+        report.Audit.independence_score)
+    [
+      ("figure 2, prob 0", figure2_db (), 0., [ "S1"; "S2" ]);
+      ( "fat-tree k=4, prob 1e-200",
+        Depdb.of_string
+          (Fixtures.read_file (Fixtures.example_path "fattree-k4.xml")),
+        1e-200,
+        [ "server0"; "server4" ] );
+    ]
+
 (* Sampling finds only some RGs; Pr(T) still counts every one. *)
 let test_sampling_failure_probability_exact () =
   let report =
@@ -552,6 +580,8 @@ let () =
       ( "exact",
         [
           Alcotest.test_case "one coherent report" `Quick test_report_coherent;
+          Alcotest.test_case "zero Pr(T) ranks by name" `Quick
+            test_zero_top_probability;
           Alcotest.test_case "sampling keeps Pr(T) exact" `Quick
             test_sampling_failure_probability_exact;
           Alcotest.test_case "default algorithm is the CLI's" `Quick
