@@ -522,10 +522,27 @@ let emit_json ~smoke rows fattree_rows =
   in
   Bench_common.write_json ~path:baseline_file json
 
+(* The smoke run's heap guard: on every fat-tree case the BDD engine
+   must put no more words into the major heap per call than
+   enumeration does. Per-call manager tables that outgrow the minor
+   heap show up here first. *)
+let check_bdd_major_words fattree_rows =
+  List.iter
+    (fun row ->
+      if row.bdd.major_words > row.enum.major_words then
+        failwith
+          (Printf.sprintf
+             "bench_kernels: %s: BDD put %.0f major words per call, \
+              enumeration %.0f"
+             row.case.ft_name row.bdd.major_words row.enum.major_words))
+    fattree_rows
+
 let run_smoke () =
   Bench_common.heading "Kernel smoke: RG engine comparison";
   let rows = compare_engines ~smoke:true in
-  emit_json ~smoke:true rows (compare_fattree ~smoke:true)
+  let fattree_rows = compare_fattree ~smoke:true in
+  emit_json ~smoke:true rows fattree_rows;
+  check_bdd_major_words fattree_rows
 
 let run () =
   Bench_common.heading "Kernel micro-benchmarks (bechamel)";

@@ -1,6 +1,8 @@
 (* Reduced ordered BDD with hash-consing. Node ids are indexes into
    growable arrays; 0 and 1 are the terminals. Variables are ranks in
-   the basic-event order (ascending rank toward the leaves). *)
+   the basic-event order (ascending rank toward the leaves). Every
+   hash-consing and memo table is a [Flat_table] or an array indexed
+   by node id, so no lookup boxes a key. *)
 
 module Obs = Indaas_obs.Registry
 
@@ -10,11 +12,12 @@ type manager = {
   mutable var : int array; (* rank per node *)
   mutable low : int array;
   mutable high : int array;
+  mutable minsol_cache : int array; (* bdd node -> zdd node, -1 unknown *)
   mutable next : int;
-  unique : (int * int * int, int) Hashtbl.t; (* (var, low, high) -> node *)
-  apply_cache : (int * int * int, int) Hashtbl.t; (* (op, a, b) -> node *)
-  rank_to_basic : Graph.node_id array;
-  rank_of : (Graph.node_id, int) Hashtbl.t; (* basic event -> rank *)
+  unique : Flat_table.t; (* (var, low, high) -> node *)
+  apply_cache : Flat_table.t; (* (op, a, b) -> node *)
+  mutable rank_to_basic : Graph.node_id array;
+  mutable rank_of : int array; (* graph node id -> rank, -1 for gates *)
   (* Minimal-solutions (Rauzy) pass: cut-set families live in a
      zero-suppressed sub-store of the same manager. ZDD node 0 is the
      empty family, node 1 the family {∅}; a decision node (x, lo, hi)
@@ -23,109 +26,126 @@ type manager = {
   mutable zlow : int array;
   mutable zhigh : int array;
   mutable znext : int;
-  zunique : (int * int * int, int) Hashtbl.t;
-  zop_cache : (int * int * int, int) Hashtbl.t; (* (op, a, b) -> zdd *)
-  minsol_cache : (int, int) Hashtbl.t; (* bdd node -> zdd node *)
+  zunique : Flat_table.t;
+  zop_cache : Flat_table.t; (* (op, a, b) -> zdd *)
 }
 
 let terminal_false = 0
 let terminal_true = 1
 
-let create rank_of rank_to_basic =
-  let initial = 1024 in
-  let m =
-    {
-      var = Array.make initial max_int;
-      low = Array.make initial (-1);
-      high = Array.make initial (-1);
-      next = 2;
-      unique = Hashtbl.create 1024;
-      apply_cache = Hashtbl.create 4096;
-      rank_to_basic;
-      rank_of;
-      zvar = Array.make initial max_int;
-      zlow = Array.make initial (-1);
-      zhigh = Array.make initial (-1);
-      znext = 2;
-      zunique = Hashtbl.create 1024;
-      zop_cache = Hashtbl.create 4096;
-      minsol_cache = Hashtbl.create 1024;
-    }
+(* Terminals sit at rank max_int (the arrays' fill value, never
+   overwritten: nodes are allocated from 2), so ordering checks are
+   uniform. *)
+let create () =
+  let nodes = 256 and slots = 512 in
+  {
+    var = Array.make nodes max_int;
+    low = Array.make nodes (-1);
+    high = Array.make nodes (-1);
+    minsol_cache = Array.make nodes (-1);
+    next = 2;
+    unique = Flat_table.create slots;
+    apply_cache = Flat_table.create slots;
+    rank_to_basic = [||];
+    rank_of = [||];
+    zvar = Array.make nodes max_int;
+    zlow = Array.make nodes (-1);
+    zhigh = Array.make nodes (-1);
+    znext = 2;
+    zunique = Flat_table.create slots;
+    zop_cache = Flat_table.create slots;
+  }
+
+(* Back to an empty store, keeping every array's capacity. Node
+   arrays past [next] are never read before [mk] writes them; the
+   minsol memo is the one node-indexed array read by lookup. *)
+let reset m =
+  Array.fill m.minsol_cache 0 m.next (-1);
+  m.next <- 2;
+  m.znext <- 2;
+  Flat_table.clear m.unique;
+  Flat_table.clear m.apply_cache;
+  Flat_table.clear m.zunique;
+  Flat_table.clear m.zop_cache
+
+let footprint m =
+  let words =
+    (4 * Array.length m.var)
+    + (3 * Array.length m.zvar)
+    + Array.length m.rank_to_basic + Array.length m.rank_of
+    + Flat_table.words m.unique + Flat_table.words m.apply_cache
+    + Flat_table.words m.zunique + Flat_table.words m.zop_cache
   in
-  (* terminals carry an infinite rank so ordering checks are uniform *)
-  m.var.(terminal_false) <- max_int;
-  m.var.(terminal_true) <- max_int;
-  m.zvar.(terminal_false) <- max_int;
-  m.zvar.(terminal_true) <- max_int;
-  m
+  words * (Sys.word_size / 8)
+
+let bigger default arr =
+  let n = Array.length arr in
+  let a = Array.make (2 * n) default in
+  Array.blit arr 0 a 0 n;
+  a
 
 let grow m =
-  let n = Array.length m.var in
-  let bigger default arr =
-    let a = Array.make (2 * n) default in
-    Array.blit arr 0 a 0 n;
-    a
-  in
   m.var <- bigger max_int m.var;
   m.low <- bigger (-1) m.low;
-  m.high <- bigger (-1) m.high
+  m.high <- bigger (-1) m.high;
+  m.minsol_cache <- bigger (-1) m.minsol_cache
 
 let mk m var low high =
   if low = high then low
   else
-    let key = (var, low, high) in
-    match Hashtbl.find_opt m.unique key with
-    | Some node -> node
-    | None ->
-        if m.next >= Array.length m.var then grow m;
-        let node = m.next in
-        m.next <- node + 1;
-        m.var.(node) <- var;
-        m.low.(node) <- low;
-        m.high.(node) <- high;
-        Hashtbl.replace m.unique key node;
-        node
+    let found = Flat_table.find m.unique var low high in
+    if found >= 0 then found
+    else begin
+      if m.next >= Array.length m.var then grow m;
+      let node = m.next in
+      m.next <- node + 1;
+      m.var.(node) <- var;
+      m.low.(node) <- low;
+      m.high.(node) <- high;
+      Flat_table.add m.unique var low high node;
+      node
+    end
 
 type op = Op_and | Op_or
 
 let op_code = function Op_and -> 0 | Op_or -> 1
 
+(* The result when one operand decides it, else -1. *)
 let terminal_case op a b =
   match op with
   | Op_and ->
-      if a = terminal_false || b = terminal_false then Some terminal_false
-      else if a = terminal_true then Some b
-      else if b = terminal_true then Some a
-      else if a = b then Some a
-      else None
+      if a = terminal_false || b = terminal_false then terminal_false
+      else if a = terminal_true then b
+      else if b = terminal_true then a
+      else if a = b then a
+      else -1
   | Op_or ->
-      if a = terminal_true || b = terminal_true then Some terminal_true
-      else if a = terminal_false then Some b
-      else if b = terminal_false then Some a
-      else if a = b then Some a
-      else None
+      if a = terminal_true || b = terminal_true then terminal_true
+      else if a = terminal_false then b
+      else if b = terminal_false then a
+      else if a = b then a
+      else -1
 
 let rec apply m op a b =
-  match terminal_case op a b with
-  | Some r -> r
-  | None ->
-      (* commutative ops: canonicalize the cache key *)
-      let a, b = if a <= b then (a, b) else (b, a) in
-      let key = (op_code op, a, b) in
-      (match Hashtbl.find_opt m.apply_cache key with
-      | Some r -> r
-      | None ->
-          let va = m.var.(a) and vb = m.var.(b) in
-          let top = min va vb in
-          let a_low = if va = top then m.low.(a) else a in
-          let a_high = if va = top then m.high.(a) else a in
-          let b_low = if vb = top then m.low.(b) else b in
-          let b_high = if vb = top then m.high.(b) else b in
-          let low = apply m op a_low b_low in
-          let high = apply m op a_high b_high in
-          let r = mk m top low high in
-          Hashtbl.replace m.apply_cache key r;
-          r)
+  let r = terminal_case op a b in
+  if r >= 0 then r
+  else
+    (* commutative ops: canonicalize the cache key *)
+    let a = Int.min a b and b = Int.max a b in
+    let cached = Flat_table.find m.apply_cache (op_code op) a b in
+    if cached >= 0 then cached
+    else
+      let va = m.var.(a) and vb = m.var.(b) in
+      let top = Int.min va vb in
+      let a_low = if va = top then m.low.(a) else a in
+      let a_high = if va = top then m.high.(a) else a in
+      let b_low = if vb = top then m.low.(b) else b in
+      let b_high = if vb = top then m.high.(b) else b in
+      let low = apply m op a_low b_low in
+      let high = apply m op a_high b_high in
+      let r = mk m top low high in
+      Flat_table.add m.apply_cache (op_code op) a b r;
+      r
 
 let apply_list m op = function
   | [] -> invalid_arg "Bdd.apply_list: empty"
@@ -138,13 +158,12 @@ let negate m a =
     if a = terminal_false then terminal_true
     else if a = terminal_true then terminal_false
     else
-      let key = (2, a, a) in
-      match Hashtbl.find_opt m.apply_cache key with
-      | Some r -> r
-      | None ->
-          let r = mk m m.var.(a) (neg m.low.(a)) (neg m.high.(a)) in
-          Hashtbl.replace m.apply_cache key r;
-          r
+      let cached = Flat_table.find m.apply_cache 2 a a in
+      if cached >= 0 then cached
+      else
+        let r = mk m m.var.(a) (neg m.low.(a)) (neg m.high.(a)) in
+        Flat_table.add m.apply_cache 2 a a r;
+        r
   in
   neg a
 
@@ -153,60 +172,90 @@ let negate m a =
 let kofn m k nodes =
   let arr = Array.of_list nodes in
   let n = Array.length arr in
-  let memo = Hashtbl.create 64 in
+  let memo = Array.make ((Int.max k 0 + 1) * (n + 1)) (-1) in
   let rec go k i =
     if k <= 0 then terminal_true
     else if n - i < k then terminal_false
     else
-      match Hashtbl.find_opt memo (k, i) with
-      | Some r -> r
-      | None ->
-          let with_i = go (k - 1) (i + 1) in
-          let without_i = go k (i + 1) in
-          (* arr.(i) ? with_i : without_i  ==  (x AND with) OR (!x AND without):
-             use Shannon-style combination via apply *)
-          let x = arr.(i) in
-          let r =
-            apply m Op_or
-              (apply m Op_and x with_i)
-              (apply m Op_and (negate m x) without_i)
-          in
-          Hashtbl.replace memo (k, i) r;
-          r
+      let slot = (k * (n + 1)) + i in
+      if memo.(slot) >= 0 then memo.(slot)
+      else
+        let with_i = go (k - 1) (i + 1) in
+        let without_i = go k (i + 1) in
+        (* arr.(i) ? with_i : without_i  ==  (x AND with) OR (!x AND without):
+           use Shannon-style combination via apply *)
+        let x = arr.(i) in
+        let r =
+          apply m Op_or
+            (apply m Op_and x with_i)
+            (apply m Op_and (negate m x) without_i)
+        in
+        memo.(slot) <- r;
+        r
   in
   go k 0
 
-let of_graph g =
+(* Compiles the top event into [m], which must be empty, and returns
+   its node. *)
+let compile m g =
   let basics = Graph.basic_ids g in
-  let rank_of = Hashtbl.create (Array.length basics) in
-  Array.iteri (fun rank id -> Hashtbl.replace rank_of id rank) basics;
-  let m = create rank_of (Array.copy basics) in
-  let memo : node option array = Array.make (Graph.node_count g) None in
+  let rank_of = Array.make (Graph.node_count g) (-1) in
+  Array.iteri (fun rank id -> rank_of.(id) <- rank) basics;
+  m.rank_of <- rank_of;
+  m.rank_to_basic <- Array.copy basics;
+  let memo = Array.make (Graph.node_count g) (-1) in
   Array.iter
     (fun id ->
       let n = Graph.node g id in
-      let bdd =
-        match n.Graph.kind with
-        | Graph.Basic _ ->
-            let rank = Hashtbl.find rank_of id in
-            mk m rank terminal_false terminal_true
-        | Graph.Gate gate ->
+      memo.(id) <-
+        (match n.Graph.kind with
+        | Graph.Basic _ -> mk m rank_of.(id) terminal_false terminal_true
+        | Graph.Gate gate -> (
             let children =
               Array.to_list
                 (Array.map
                    (fun c ->
-                     match memo.(c) with Some b -> b | None -> assert false)
+                     assert (memo.(c) >= 0);
+                     memo.(c))
                    n.Graph.children)
             in
-            (match gate with
+            match gate with
             | Graph.Or -> apply_list m Op_or children
             | Graph.And -> apply_list m Op_and children
-            | Graph.Kofn k -> kofn m k children)
-      in
-      memo.(id) <- Some bdd)
+            | Graph.Kofn k -> kofn m k children)))
     (Graph.topological_order g);
-  let top = match memo.(Graph.top g) with Some b -> b | None -> assert false in
+  memo.(Graph.top g)
+
+let of_graph g =
+  let m = create () in
+  let top = compile m g in
   (m, top)
+
+(* --- the per-domain spare manager -------------------------------------- *)
+
+let retention_cap_bytes = 16 * 1024 * 1024
+
+let spare : manager option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+(* Runs [f] on [g] compiled into this domain's spare manager, which
+   [f] must not let escape. Taking the spare out of its slot marks it
+   busy, so a nested call allocates a fresh manager; a call that
+   raises never puts its manager back. The spare is reset when taken,
+   and kept afterwards only while its arrays fit the retention cap. *)
+let with_spare g f =
+  let slot = Domain.DLS.get spare in
+  let m =
+    match !slot with
+    | Some m ->
+        slot := None;
+        reset m;
+        m
+    | None -> create ()
+  in
+  let result = f m (compile m g) in
+  if footprint m <= retention_cap_bytes then slot := Some m;
+  result
 
 let size m = m.next - 2
 
@@ -221,15 +270,6 @@ let node_count m node =
   in
   go node;
   Hashtbl.length seen
-
-let evaluate m node ~failed =
-  let rec go n =
-    if n = terminal_false then false
-    else if n = terminal_true then true
-    else if failed m.rank_to_basic.(m.var.(n)) then go m.high.(n)
-    else go m.low.(n)
-  in
-  go node
 
 let probability m node ~prob_of =
   let memo = Hashtbl.create 256 in
@@ -248,36 +288,7 @@ let probability m node ~prob_of =
   go node
 
 let graph_probability g =
-  let m, top = of_graph g in
-  probability m top ~prob_of:(Probability.prob_exn g)
-
-let sat_count m node ~vars =
-  if vars < 0 then invalid_arg "Bdd.sat_count: negative vars";
-  (* Count over the full variable space: each skipped level doubles. *)
-  let memo = Hashtbl.create 256 in
-  let rec go n level =
-    (* level = next variable rank to account for *)
-    if n = terminal_false then 0.
-    else if n = terminal_true then 2. ** float_of_int (vars - level)
-    else
-      let v = m.var.(n) in
-      let skipped = 2. ** float_of_int (v - level) in
-      let inner =
-        match Hashtbl.find_opt memo n with
-        | Some c -> c
-        | None ->
-            let c = go m.low.(n) (v + 1) +. go m.high.(n) (v + 1) in
-            Hashtbl.replace memo n c;
-            c
-      in
-      skipped *. inner
-  in
-  go node 0
-
-let is_terminal _ node =
-  if node = terminal_false then Some false
-  else if node = terminal_true then Some true
-  else None
+  with_spare g (fun m top -> probability m top ~prob_of:(Probability.prob_exn g))
 
 (* --- minimal risk groups (Rauzy's minimal-solutions pass) ----------- *)
 
@@ -287,12 +298,6 @@ let is_terminal _ node =
    don't-care collapse to corrupt set membership. *)
 
 let zgrow m =
-  let n = Array.length m.zvar in
-  let bigger default arr =
-    let a = Array.make (2 * n) default in
-    Array.blit arr 0 a 0 n;
-    a
-  in
   m.zvar <- bigger max_int m.zvar;
   m.zlow <- bigger (-1) m.zlow;
   m.zhigh <- bigger (-1) m.zhigh
@@ -300,18 +305,18 @@ let zgrow m =
 let zmk m var low high =
   if high = terminal_false then low
   else
-    let key = (var, low, high) in
-    match Hashtbl.find_opt m.zunique key with
-    | Some node -> node
-    | None ->
-        if m.znext >= Array.length m.zvar then zgrow m;
-        let node = m.znext in
-        m.znext <- node + 1;
-        m.zvar.(node) <- var;
-        m.zlow.(node) <- low;
-        m.zhigh.(node) <- high;
-        Hashtbl.replace m.zunique key node;
-        node
+    let found = Flat_table.find m.zunique var low high in
+    if found >= 0 then found
+    else begin
+      if m.znext >= Array.length m.zvar then zgrow m;
+      let node = m.znext in
+      m.znext <- node + 1;
+      m.zvar.(node) <- var;
+      m.zlow.(node) <- low;
+      m.zhigh.(node) <- high;
+      Flat_table.add m.zunique var low high node;
+      node
+    end
 
 (* Family union (plain set union of members). *)
 let rec zunion m a b =
@@ -319,25 +324,24 @@ let rec zunion m a b =
   else if a = terminal_false then b
   else if b = terminal_false then a
   else begin
-    let a, b = if a <= b then (a, b) else (b, a) in
-    let key = (0, a, b) in
-    match Hashtbl.find_opt m.zop_cache key with
-    | Some r -> r
-    | None ->
-        let va = m.zvar.(a) and vb = m.zvar.(b) in
-        let r =
-          if va = vb then
-            (* both decision nodes on the same variable (terminals have
-               rank max_int and were handled above except a = 1, which
-               has no equal-rank partner left) *)
-            zmk m va
-              (zunion m m.zlow.(a) m.zlow.(b))
-              (zunion m m.zhigh.(a) m.zhigh.(b))
-          else if va < vb then zmk m va (zunion m m.zlow.(a) b) m.zhigh.(a)
-          else zmk m vb (zunion m a m.zlow.(b)) m.zhigh.(b)
-        in
-        Hashtbl.replace m.zop_cache key r;
-        r
+    let a = Int.min a b and b = Int.max a b in
+    let cached = Flat_table.find m.zop_cache 0 a b in
+    if cached >= 0 then cached
+    else
+      let va = m.zvar.(a) and vb = m.zvar.(b) in
+      let r =
+        if va = vb then
+          (* both decision nodes on the same variable (terminals have
+             rank max_int and were handled above except a = 1, which
+             has no equal-rank partner left) *)
+          zmk m va
+            (zunion m m.zlow.(a) m.zlow.(b))
+            (zunion m m.zhigh.(a) m.zhigh.(b))
+        else if va < vb then zmk m va (zunion m m.zlow.(a) b) m.zhigh.(a)
+        else zmk m vb (zunion m a m.zlow.(b)) m.zhigh.(b)
+      in
+      Flat_table.add m.zop_cache 0 a b r;
+      r
   end
 
 (* [zwithout m a b]: the members of [a] that are supersets of no
@@ -352,27 +356,26 @@ let rec zwithout m a b =
        all-absent chain. *)
     zwithout m a m.zlow.(b)
   else begin
-    let key = (1, a, b) in
-    match Hashtbl.find_opt m.zop_cache key with
-    | Some r -> r
-    | None ->
-        let va = m.zvar.(a) and vb = m.zvar.(b) in
-        let r =
-          if va = vb then
-            (* members without x are subsumed only by b-members without
-               x; members with x by either kind (x dropped). *)
-            zmk m va
-              (zwithout m m.zlow.(a) m.zlow.(b))
-              (zwithout m m.zhigh.(a) (zunion m m.zlow.(b) m.zhigh.(b)))
-          else if va < vb then
-            (* no b-member contains x = va *)
-            zmk m va (zwithout m m.zlow.(a) b) (zwithout m m.zhigh.(a) b)
-          else
-            (* b-members containing vb cannot subsume: a lacks vb *)
-            zwithout m a m.zlow.(b)
-        in
-        Hashtbl.replace m.zop_cache key r;
-        r
+    let cached = Flat_table.find m.zop_cache 1 a b in
+    if cached >= 0 then cached
+    else
+      let va = m.zvar.(a) and vb = m.zvar.(b) in
+      let r =
+        if va = vb then
+          (* members without x are subsumed only by b-members without
+             x; members with x by either kind (x dropped). *)
+          zmk m va
+            (zwithout m m.zlow.(a) m.zlow.(b))
+            (zwithout m m.zhigh.(a) (zunion m m.zlow.(b) m.zhigh.(b)))
+        else if va < vb then
+          (* no b-member contains x = va *)
+          zmk m va (zwithout m m.zlow.(a) b) (zwithout m m.zhigh.(a) b)
+        else
+          (* b-members containing vb cannot subsume: a lacks vb *)
+          zwithout m a m.zlow.(b)
+      in
+      Flat_table.add m.zop_cache 1 a b r;
+      r
   end
 
 (* Minimal solutions of a monotone BDD (Rauzy 1993): with f = ite(x,
@@ -382,28 +385,24 @@ let rec zwithout m a b =
 let rec minsol m n =
   if n = terminal_false then terminal_false
   else if n = terminal_true then terminal_true
+  else if m.minsol_cache.(n) >= 0 then m.minsol_cache.(n)
   else
-    match Hashtbl.find_opt m.minsol_cache n with
-    | Some z -> z
-    | None ->
-        let z0 = minsol m m.low.(n) in
-        let z1 = minsol m m.high.(n) in
-        let z = zmk m m.var.(n) z0 (zwithout m z1 z0) in
-        Hashtbl.replace m.minsol_cache n z;
-        z
+    let z0 = minsol m m.low.(n) in
+    let z1 = minsol m m.high.(n) in
+    let z = zmk m m.var.(n) z0 (zwithout m z1 z0) in
+    m.minsol_cache.(n) <- z;
+    z
 
 let family_size m z =
-  let memo = Hashtbl.create 256 in
+  let memo = Array.make m.znext (-1) in
   let rec go z =
     if z = terminal_false then 0
     else if z = terminal_true then 1
+    else if memo.(z) >= 0 then memo.(z)
     else
-      match Hashtbl.find_opt memo z with
-      | Some c -> c
-      | None ->
-          let c = go m.zlow.(z) + go m.zhigh.(z) in
-          Hashtbl.replace memo z c;
-          c
+      let c = go m.zlow.(z) + go m.zhigh.(z) in
+      memo.(z) <- c;
+      c
   in
   go z
 
@@ -415,40 +414,32 @@ let family_size m z =
    result. *)
 let of_family m family =
   let rank id =
-    match Hashtbl.find_opt m.rank_of id with
-    | Some r -> r
-    | None -> invalid_arg "Bdd.of_family: not a basic event of the graph"
+    if id >= 0 && id < Array.length m.rank_of && m.rank_of.(id) >= 0 then
+      m.rank_of.(id)
+    else invalid_arg "Bdd.of_family: not a basic event of the graph"
   in
   let chain rg =
     List.fold_right
       (fun r acc -> zmk m r terminal_false acc)
-      (List.sort_uniq compare (List.map rank (Array.to_list rg)))
+      (List.sort_uniq Int.compare (List.map rank (Array.to_list rg)))
       terminal_true
   in
   let z =
     List.fold_left (fun acc rg -> zunion m acc (chain rg)) terminal_false family
   in
-  let memo = Hashtbl.create 64 in
+  let memo = Array.make m.znext (-1) in
   let rec bdd z =
     if z <= terminal_true then z
+    else if memo.(z) >= 0 then memo.(z)
     else
-      match Hashtbl.find_opt memo z with
-      | Some n -> n
-      | None ->
-          let lo = bdd m.zlow.(z) in
-          let n = mk m m.zvar.(z) lo (apply m Op_or lo (bdd m.zhigh.(z))) in
-          Hashtbl.replace memo z n;
-          n
+      let lo = bdd m.zlow.(z) in
+      let n = mk m m.zvar.(z) lo (apply m Op_or lo (bdd m.zhigh.(z))) in
+      memo.(z) <- n;
+      n
   in
   bdd z
 
-let minimal_rg_count g =
-  let m, top = of_graph g in
-  family_size m (minsol m top)
-
-let minimal_risk_groups ?(max_size = max_int) g =
-  Obs.with_span "rg.bdd" @@ fun () ->
-  let m, top = of_graph g in
+let risk_groups ?(max_size = max_int) m top =
   let z = minsol m top in
   if Obs.on () then begin
     Obs.incr ~by:(size m) "bdd.nodes";
@@ -485,3 +476,6 @@ let minimal_risk_groups ?(max_size = max_int) g =
       "rg.family_size"
       (float_of_int (List.length family));
   family
+
+let minimal_risk_groups ?max_size g =
+  Obs.with_span "rg.bdd" @@ fun () -> with_spare g (risk_groups ?max_size)

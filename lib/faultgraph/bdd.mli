@@ -13,13 +13,39 @@
     Variables are the graph's basic events, ranked in
     {!Graph.basic_ids} order (topological position, which is ascending
     id). Hash-consing keeps the diagram reduced; [apply] is
-    memoized per operation. *)
+    memoized per operation.
+
+    {b Storage.} A manager keeps its nodes in flat [int array]s, and
+    its four triple-keyed tables (BDD and ZDD hash-consing, the
+    [apply] memo and the [union]/[without] memo) are {!Flat_table}s:
+    open addressing over one [int array], three key ints and one value
+    per slot. The [minsol] memo is an array indexed by node id. No
+    lookup on the compile or minimize path boxes a key or allocates a
+    bucket.
+
+    {b Reuse.} {!minimal_risk_groups} and {!graph_probability} never
+    hand out their manager, so each domain keeps one spare manager
+    ([Domain.DLS]) for them: a call takes the spare, resets it in time
+    linear in its tables, and puts it back afterwards. A nested or
+    concurrent call in the same domain finds the spare taken and
+    allocates a fresh manager; a call that raises drops it. A spare
+    whose arrays grew past {!retention_cap_bytes} is dropped, not kept,
+    so the memory a domain retains between calls is bounded. {!of_graph}
+    always returns a fresh manager, which the caller owns. *)
 
 type manager
 type node
 
 val of_graph : Graph.t -> manager * node
-(** Compiles the top event. AND/OR/k-of-n gates are supported. *)
+(** Compiles the top event into a fresh manager. AND/OR/k-of-n gates
+    are supported. *)
+
+val retention_cap_bytes : int
+(** 16 MiB: the largest {!footprint} a domain's spare manager may have
+    and still be kept for the next call. *)
+
+val footprint : manager -> int
+(** Bytes held by the manager's node arrays and tables. *)
 
 val size : manager -> int
 (** Unique decision nodes allocated in the manager. *)
@@ -27,16 +53,13 @@ val size : manager -> int
 val node_count : manager -> node -> int
 (** Decision nodes reachable from [node]. *)
 
-val evaluate : manager -> node -> failed:(Graph.node_id -> bool) -> bool
-(** Follows the decision path for one assignment. *)
-
 val probability : manager -> node -> prob_of:(Graph.node_id -> float) -> float
 (** Exact [Pr(top event)] under independent basic-event failure
     probabilities. *)
 
 val graph_probability : Graph.t -> float
-(** Convenience: compile and evaluate with the graph's attached
-    probabilities. Raises
+(** Convenience: compile (into the domain's spare manager) and
+    evaluate with the graph's attached probabilities. Raises
     {!Probability.Missing_probability} if a reachable basic event
     has none. *)
 
@@ -46,13 +69,6 @@ val of_family : manager -> Cutset.rg list -> node
     order. Its {!probability} is the exact [Pr(∪ family)], with no
     2^m inclusion–exclusion terms. Raises [Invalid_argument] on an
     event that is not a reachable basic event of the compiled graph. *)
-
-val sat_count : manager -> node -> vars:int -> float
-(** Number of failure states: assignments of [vars] variables under
-    which the top event occurs (as a float — it can exceed 2^62). *)
-
-val is_terminal : manager -> node -> bool option
-(** [Some b] when the node is the constant [b]; [None] otherwise. *)
 
 (** {1 Minimal risk groups}
 
@@ -65,10 +81,10 @@ val is_terminal : manager -> node -> bool option
     the final read-out. Sound for the monotone functions fault graphs
     denote (AND/OR/k-of-n over positive events). *)
 
-val minimal_risk_groups :
-  ?max_size:int -> Graph.t -> Graph.node_id array list
-(** All minimal RGs of the top event, in {!Cutset.sort_family} order —
-    the same family (and order) the enumeration engine returns.
+val risk_groups : ?max_size:int -> manager -> node -> Graph.node_id array list
+(** All minimal RGs of [node], a node of this manager (e.g. the top
+    event {!of_graph} returned), in {!Cutset.sort_family} order — the
+    same family (and order) the enumeration engine returns.
 
     The order comes from the read-out itself, with no sort: variable
     ranks follow {!Graph.basic_ids}, which lists basic events in
@@ -82,6 +98,7 @@ val minimal_risk_groups :
     the read-out does not descend past this depth (the symbolic pass
     itself is unbounded). *)
 
-val minimal_rg_count : Graph.t -> int
-(** Number of minimal RGs, counted on the shared family structure
-    without materializing any of them. *)
+val minimal_risk_groups :
+  ?max_size:int -> Graph.t -> Graph.node_id array list
+(** {!risk_groups} of the top event, compiled into the domain's spare
+    manager, under an [rg.bdd] span. *)

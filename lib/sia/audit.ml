@@ -2,6 +2,7 @@ module Graph = Indaas_faultgraph.Graph
 module Cutset = Indaas_faultgraph.Cutset
 module Bdd = Indaas_faultgraph.Bdd
 module Sampling = Indaas_faultgraph.Sampling
+module Probability = Indaas_faultgraph.Probability
 module Prng = Indaas_util.Prng
 module Obs = Indaas_obs.Registry
 
@@ -76,13 +77,24 @@ let risk_groups ?(rng = default_rng ()) algorithm graph =
 
 let audit ?(rng = default_rng ()) db request =
   let graph = Builder.build db request.spec in
-  let rgs =
+  let rgs, top_probability =
     Obs.with_span "minimize"
       ~attrs:[ ("algorithm", algorithm_label request.algorithm) ]
     @@ fun () ->
-    let rgs = risk_groups ~rng request.algorithm graph in
+    let rgs, top_probability =
+      match (request.algorithm, request.ranking) with
+      | Auto_rg _, Probability_based when top_threshold graph >= 3 ->
+          (* The symbolic path's one compile serves both the family and
+             Pr(T), under the span {!Bdd.minimal_risk_groups} records. *)
+          Obs.with_span "rg.bdd" @@ fun () ->
+          let m, top = Bdd.of_graph graph in
+          ( Bdd.risk_groups m top,
+            Some (Bdd.probability m top ~prob_of:(Probability.prob_exn graph))
+          )
+      | _ -> (risk_groups ~rng request.algorithm graph, None)
+    in
     Obs.span_attr "risk_groups" (string_of_int (List.length rgs));
-    rgs
+    (rgs, top_probability)
   in
   let ranked, score, failure_probability =
     Obs.with_span "rank" @@ fun () ->
@@ -99,7 +111,11 @@ let audit ?(rng = default_rng ()) db request =
         let ranked = Rank.size_based graph rgs in
         (ranked, Rank.independence_score_size ranked, None)
     | Probability_based ->
-        let top_probability = Bdd.graph_probability graph in
+        let top_probability =
+          match top_probability with
+          | Some p -> p
+          | None -> Bdd.graph_probability graph
+        in
         let ranked = Rank.probability_based ~top_probability graph rgs in
         (ranked, Rank.independence_score_importance ranked, Some top_probability)
   in

@@ -70,9 +70,11 @@ type deployment_report = {
           truly independent deployment *)
   independence_score : float;
   failure_probability : float option;
-      (** exact [Pr(T)] from the BDD ({!Bdd.graph_probability}) when
-          probability ranking was used — whatever the RG algorithm,
-          so sampling does not lower it *)
+      (** exact [Pr(T)] from the BDD when probability ranking was
+          used — whatever the RG algorithm, so sampling does not lower
+          it. When [Auto_rg] runs the BDD engine, the family and
+          [Pr(T)] come from one compile of the graph; otherwise from
+          {!Bdd.graph_probability}. *)
   expected_rg_size : int;
   diagnostics : Indaas_lint.Diagnostic.t list;
       (** static-analysis findings over the deployment's fault graph

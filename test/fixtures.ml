@@ -112,3 +112,23 @@ let collect_oracle (spec : Indaas.Spec.t) sources =
         source.Agent.modules)
     spec.Spec.data_sources;
   List.filter (fun r -> Spec.wants spec (kind r)) (Depdb.records db)
+
+(* BDD queries only tests ask, built on [Bdd]'s public API. *)
+module Bdd = Indaas_faultgraph.Bdd
+
+(* Failure states over [vars] variables: Pr(node) with every event at
+   1/2 is the fraction of assignments under which it holds. *)
+let sat_count m node ~vars =
+  (2. ** float_of_int vars) *. Bdd.probability m node ~prob_of:(fun _ -> 0.5)
+
+(* The decision path for one assignment: with 0/1 probabilities,
+   Pr(node) is 1 exactly when the assignment satisfies it. *)
+let evaluate m node ~failed =
+  Bdd.probability m node ~prob_of:(fun id -> if failed id then 1. else 0.) = 1.
+
+(* A node with no decision node below it is a constant. *)
+let is_terminal m node =
+  if Bdd.node_count m node > 0 then None
+  else Some (Bdd.probability m node ~prob_of:(fun _ -> 0.5) = 1.)
+
+let minimal_rg_count g = List.length (Bdd.minimal_risk_groups g)

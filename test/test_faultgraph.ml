@@ -532,7 +532,7 @@ let test_bdd_matches_evaluate () =
     let failed id = IS.mem id failed_set in
     check Alcotest.bool "BDD = direct evaluation"
       (Graph.evaluate g ~failed)
-      (Bdd.evaluate m top ~failed)
+      (Fixtures.evaluate m top ~failed)
   done
 
 let test_bdd_probability_figure_4b () =
@@ -562,19 +562,19 @@ let test_bdd_kofn () =
   check (Alcotest.float 1e-12) "2-of-3" 0.5 (Bdd.graph_probability g);
   let m, tp = Bdd.of_graph g in
   (* 4 of 8 assignments fail the top event *)
-  check (Alcotest.float 1e-9) "sat count" 4. (Bdd.sat_count m tp ~vars:3)
+  check (Alcotest.float 1e-9) "sat count" 4. (Fixtures.sat_count m tp ~vars:3)
 
 let test_bdd_sat_count () =
   let g = figure_4a () in
   let m, top = Bdd.of_graph g in
   (* failure states: A2 (4 of 8) plus A1&A3&!A2 (1) = 5 *)
-  check (Alcotest.float 1e-9) "5 failing states" 5. (Bdd.sat_count m top ~vars:3)
+  check (Alcotest.float 1e-9) "5 failing states" 5. (Fixtures.sat_count m top ~vars:3)
 
 let test_bdd_terminals () =
   let g = figure_4a () in
   let m, top = Bdd.of_graph g in
   check (Alcotest.option Alcotest.bool) "top not terminal" None
-    (Bdd.is_terminal m top);
+    (Fixtures.is_terminal m top);
   check Alcotest.bool "has nodes" true (Bdd.node_count m top > 0);
   check Alcotest.bool "manager size sane" true (Bdd.size m >= Bdd.node_count m top)
 
@@ -627,11 +627,11 @@ let test_bdd_engine_max_size () =
 
 let test_bdd_engine_count () =
   let g = figure_4c () in
-  check Alcotest.int "four minimal RGs" 4 (Bdd.minimal_rg_count g);
+  check Alcotest.int "four minimal RGs" 4 (Fixtures.minimal_rg_count g);
   (* counting must agree with materialization on a denser graph *)
   let comps prefix = List.init 12 (fun i -> Printf.sprintf "%s%d" prefix i) in
   let dense = Graph.of_component_sets [ ("E1", comps "a"); ("E2", comps "b") ] in
-  check Alcotest.int "144 pairs" 144 (Bdd.minimal_rg_count dense)
+  check Alcotest.int "144 pairs" 144 (Fixtures.minimal_rg_count dense)
 
 let test_bdd_engine_survives_enum_budget () =
   (* The dense case the enumeration budget refuses: 2 x 20 disjoint
@@ -858,17 +858,18 @@ let prop_top_event_iff_some_rg_contained =
       !ok)
 
 (* Random multi-level DAGs with AND/OR/k-of-n gates, derived
-   deterministically from a seed so qcheck can shrink over seeds. *)
-let random_dag seed =
+   deterministically from a seed so qcheck can shrink over seeds;
+   [scale] multiplies the spread of basic-event and gate counts. *)
+let random_dag ?(scale = 1) seed =
   let rng = Prng.of_int seed in
   let b = Graph.Builder.create () in
-  let n_basics = 3 + Prng.int rng 6 in
+  let n_basics = 3 + Prng.int rng (6 * scale) in
   let basics =
     List.init n_basics (fun i -> Graph.Builder.add_basic b (Printf.sprintf "c%d" i))
   in
   let nodes = ref (Array.of_list basics) in
   let top = ref (List.hd basics) in
-  let n_gates = 2 + Prng.int rng 6 in
+  let n_gates = 2 + Prng.int rng (6 * scale) in
   for i = 1 to n_gates do
     let pool = !nodes in
     let n_children = 1 + Prng.int rng (min 4 (Array.length pool)) in
@@ -936,9 +937,129 @@ let prop_of_family_is_union =
             let rec index i = if basics.(i) = id then i else index (i + 1) in
             mask land (1 lsl index 0) <> 0
           in
-          Bdd.evaluate m union ~failed
+          Fixtures.evaluate m union ~failed
           = List.exists (Array.for_all failed) family)
         (List.init (1 lsl n) Fun.id))
+
+(* --- the reused BDD manager ----------------------------------------------- *)
+
+(* At least 64 of 600 events with probabilities: its compile outgrows
+   the spare manager's retention cap. *)
+let over_cap_graph =
+  lazy
+    (let b = Graph.Builder.create () in
+     let ids =
+       List.init 600 (fun i ->
+           Graph.Builder.add_basic b ~prob:0.01 (Printf.sprintf "x%d" i))
+     in
+     let g =
+       Graph.Builder.build b
+         ~top:(Graph.Builder.add_gate b ~name:"top" (Graph.Kofn 64) ids)
+     in
+     let m, _ = Bdd.of_graph g in
+     assert (Bdd.footprint m > Bdd.retention_cap_bytes);
+     g)
+
+(* The family and the node counters --metrics reports, from one call
+   under a fresh observability scope. *)
+let minimized f =
+  let rgs, registry = Indaas_obs.Registry.with_scope (fun _ -> f ()) in
+  let counter = Indaas_obs.Metrics.counter (Indaas_obs.Registry.metrics registry) in
+  (rgs, counter "bdd.nodes", counter "bdd.zdd_nodes")
+
+(* Reuse is invisible: along a sequence of random DAGs of mixed sizes,
+   with one call that outgrows the retention cap somewhere in it, each
+   call on the domain's spare manager returns enumeration's family and
+   the same family and node counts as a fresh manager. *)
+let prop_reuse_invisible =
+  QCheck.Test.make ~name:"reused BDD manager = fresh manager = enumeration"
+    ~count:8
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 8)
+           (pair (int_range 1 3) (int_bound 1_000_000)))
+        small_nat)
+    (fun (graphs, over_cap_at) ->
+      let over_cap = Lazy.force over_cap_graph in
+      List.for_all Fun.id
+        (List.mapi
+           (fun i (scale, seed) ->
+             if i = over_cap_at mod List.length graphs then
+               ignore (Bdd.graph_probability over_cap);
+             let g = random_dag ~scale seed in
+             let fresh =
+               minimized (fun () ->
+                   let m, top = Bdd.of_graph g in
+                   Bdd.risk_groups m top)
+             in
+             let (rgs, _, _) as reused =
+               minimized (fun () -> Bdd.minimal_risk_groups g)
+             in
+             reused = fresh && rgs = Cutset.minimal_risk_groups g)
+           graphs))
+
+(* The flat table against a [Hashtbl] model, from two slots through
+   several doublings, with keys clustered enough to collide. *)
+let prop_flat_table_model =
+  let module Flat_table = Indaas_faultgraph.Flat_table in
+  let key = QCheck.Gen.(oneof [ int_bound 7; int_bound 7; int ]) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun (a, b, c) v -> `Add (a, b, c, v)) (triple key key key) nat);
+          (6, map (fun k -> `Find k) (triple key key key));
+          (1, return `Clear);
+        ])
+  in
+  QCheck.Test.make ~name:"flat table = Hashtbl model" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 100 2000) op))
+    (fun ops ->
+      let t = Flat_table.create 2 and model = Hashtbl.create 16 in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Add (a, b, c, v) ->
+              Flat_table.add t a b c v;
+              Hashtbl.replace model (a, b, c) v
+          | `Find _ -> ()
+          | `Clear ->
+              Flat_table.clear t;
+              Hashtbl.reset model);
+          (match op with
+          | `Add (a, b, c, _) | `Find (a, b, c) ->
+              Flat_table.find t a b c
+              = Option.value ~default:(-1) (Hashtbl.find_opt model (a, b, c))
+          | `Clear -> true)
+          && Flat_table.length t = Hashtbl.length model)
+        ops)
+
+(* Two domains minimizing different graphs at once each get their own
+   family, call after call. *)
+let test_domains_keep_own_spare () =
+  let ready = Atomic.make 0 in
+  let run seeds =
+    let graphs = List.map random_dag seeds in
+    let expected = List.map Cutset.minimal_risk_groups graphs in
+    fun () ->
+      (* start together, so the two loops overlap *)
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      let ok = ref true in
+      for _ = 1 to 8000 do
+        List.iter2
+          (fun g rgs -> if Bdd.minimal_risk_groups g <> rgs then ok := false)
+          graphs expected
+      done;
+      !ok
+  in
+  let a = Domain.spawn (run (List.init 10 Fun.id)) in
+  let b = Domain.spawn (run (List.init 10 (fun i -> 1000 + i))) in
+  let a_ok = Domain.join a and b_ok = Domain.join b in
+  check Alcotest.bool "first domain" true a_ok;
+  check Alcotest.bool "second domain" true b_ok
 
 (* The importance path's exact BDD values against the
    inclusion-exclusion oracle, where the oracle is tractable. *)
@@ -1088,6 +1209,10 @@ let () =
           qtest prop_engines_agree;
           qtest prop_engines_agree_component_sets;
           qtest prop_of_family_is_union;
+          qtest prop_reuse_invisible;
+          qtest prop_flat_table_model;
+          Alcotest.test_case "domains keep their own spare" `Quick
+            test_domains_keep_own_spare;
           qtest prop_fussell_vesely_oracle;
         ] );
     ]
