@@ -35,9 +35,17 @@ let terminal_true = 1
 
 (* Terminals sit at rank max_int (the arrays' fill value, never
    overwritten: nodes are allocated from 2), so ordering checks are
-   uniform. *)
-let create () =
-  let nodes = 256 and slots = 512 in
+   uniform. The first arrays and tables are sized from the graph:
+   room for [nodes_per_graph_node] decision nodes per graph node, each
+   table at twice that many slots, so it doubles when the node arrays
+   do. *)
+let nodes_per_graph_node = 8
+
+let create g =
+  let wanted = nodes_per_graph_node * Graph.node_count g in
+  let rec pow2 n = if n >= wanted then n else pow2 (2 * n) in
+  let nodes = pow2 256 in
+  let slots = 2 * nodes in
   {
     var = Array.make nodes max_int;
     low = Array.make nodes (-1);
@@ -227,7 +235,7 @@ let compile m g =
   memo.(Graph.top g)
 
 let of_graph g =
-  let m = create () in
+  let m = create g in
   let top = compile m g in
   (m, top)
 
@@ -251,7 +259,7 @@ let with_spare g f =
         slot := None;
         reset m;
         m
-    | None -> create ()
+    | None -> create g
   in
   let result = f m (compile m g) in
   if footprint m <= retention_cap_bytes then slot := Some m;
@@ -260,30 +268,31 @@ let with_spare g f =
 let size m = m.next - 2
 
 let node_count m node =
-  let seen = Hashtbl.create 64 in
-  let rec go n =
-    if n > terminal_true && not (Hashtbl.mem seen n) then begin
-      Hashtbl.replace seen n ();
-      go m.low.(n);
-      go m.high.(n)
+  let seen = Bytes.make m.next '\000' in
+  let rec go n count =
+    if n <= terminal_true || Bytes.get seen n <> '\000' then count
+    else begin
+      Bytes.set seen n '\001';
+      go m.high.(n) (go m.low.(n) (count + 1))
     end
   in
-  go node;
-  Hashtbl.length seen
+  go node 0
 
 let probability m node ~prob_of =
-  let memo = Hashtbl.create 256 in
+  (* Indexed by node id; no probability is negative, so -1 marks a
+     node not yet evaluated. *)
+  let memo = Float.Array.make m.next (-1.) in
   let rec go n =
     if n = terminal_false then 0.
     else if n = terminal_true then 1.
     else
-      match Hashtbl.find_opt memo n with
-      | Some p -> p
-      | None ->
-          let p_fail = prob_of m.rank_to_basic.(m.var.(n)) in
-          let p = (p_fail *. go m.high.(n)) +. ((1. -. p_fail) *. go m.low.(n)) in
-          Hashtbl.replace memo n p;
-          p
+      let cached = Float.Array.get memo n in
+      if cached >= 0. then cached
+      else
+        let p_fail = prob_of m.rank_to_basic.(m.var.(n)) in
+        let p = (p_fail *. go m.high.(n)) +. ((1. -. p_fail) *. go m.low.(n)) in
+        Float.Array.set memo n p;
+        p
   in
   go node
 

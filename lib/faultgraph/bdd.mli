@@ -19,9 +19,10 @@
     its four triple-keyed tables (BDD and ZDD hash-consing, the
     [apply] memo and the [union]/[without] memo) are {!Flat_table}s:
     open addressing over one [int array], three key ints and one value
-    per slot. The [minsol] memo is an array indexed by node id. No
-    lookup on the compile or minimize path boxes a key or allocates a
-    bucket.
+    per slot. The [minsol], {!probability} and {!node_count} memos are
+    arrays indexed by node id. No lookup on the compile or minimize
+    path boxes a key or allocates. A fresh manager's first arrays and
+    tables are sized from the graph's node count.
 
     {b Reuse.} {!minimal_risk_groups} and {!graph_probability} never
     hand out their manager, so each domain keeps one spare manager

@@ -15,34 +15,32 @@ let hash a b c =
   let h = h * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-let find t a b c =
-  let data = t.data and mask = t.mask in
-  let rec probe i =
-    let s = 4 * i in
-    let v = data.(s + 3) in
-    if v < 0 then -1
-    else if data.(s) = a && data.(s + 1) = b && data.(s + 2) = c then v
-    else probe ((i + 1) land mask)
-  in
-  probe (hash a b c land mask)
+(* The probes are top-level functions of all their arguments: a local
+   [let rec] over the table would allocate a closure on every call. *)
+let rec find_from data mask a b c i =
+  let s = 4 * i in
+  let v = data.(s + 3) in
+  if v < 0 then -1
+  else if data.(s) = a && data.(s + 1) = b && data.(s + 2) = c then v
+  else find_from data mask a b c ((i + 1) land mask)
+
+let find t a b c = find_from t.data t.mask a b c (hash a b c land t.mask)
+
+let rec place_from t data mask a b c v i =
+  let s = 4 * i in
+  if data.(s + 3) < 0 then begin
+    data.(s) <- a;
+    data.(s + 1) <- b;
+    data.(s + 2) <- c;
+    data.(s + 3) <- v;
+    t.count <- t.count + 1
+  end
+  else if data.(s) = a && data.(s + 1) = b && data.(s + 2) = c then
+    data.(s + 3) <- v
+  else place_from t data mask a b c v ((i + 1) land mask)
 
 (* Insert or overwrite, without the load check. *)
-let place t a b c v =
-  let data = t.data and mask = t.mask in
-  let rec probe i =
-    let s = 4 * i in
-    if data.(s + 3) < 0 then begin
-      data.(s) <- a;
-      data.(s + 1) <- b;
-      data.(s + 2) <- c;
-      data.(s + 3) <- v;
-      t.count <- t.count + 1
-    end
-    else if data.(s) = a && data.(s + 1) = b && data.(s + 2) = c then
-      data.(s + 3) <- v
-    else probe ((i + 1) land mask)
-  in
-  probe (hash a b c land mask)
+let place t a b c v = place_from t t.data t.mask a b c v (hash a b c land t.mask)
 
 let grow t =
   let old = t.data in

@@ -3,8 +3,10 @@
 
     Open addressing over one flat [int array]: each slot holds the
     three key ints and the value, probed linearly, and the table
-    doubles before it is half full. A lookup boxes nothing and an
-    entry allocates nothing beyond its slot. *)
+    doubles before it is half full. The probes are top-level functions
+    of their arguments, not closures built per call, so {!find}
+    allocates nothing, and neither does {!add} unless the table
+    doubles. *)
 
 type t
 

@@ -50,24 +50,19 @@ let algorithm_label = function
 
 let default_rng () = Prng.of_int 0xD1CE
 
-(* How many of the top gate's children must fail for the top event:
-   the number of child families enumeration multiplies together. *)
-let top_threshold graph =
-  let top = Graph.node graph (Graph.top graph) in
-  match top.Graph.kind with
-  | Graph.Basic _ | Graph.Gate Graph.Or -> 1
-  | Graph.Gate Graph.And -> Array.length top.Graph.children
-  | Graph.Gate (Graph.Kofn k) -> k
+(* Deployments of three or more servers (a top gate of three or more
+   children, whatever its threshold) go to the symbolic engine: there
+   its shared structure beats enumeration's products of child
+   families (BENCH_kernels.json). *)
+let symbolic graph =
+  Array.length (Graph.node graph (Graph.top graph)).Graph.children >= 3
 
 let risk_groups ?(rng = default_rng ()) algorithm graph =
   match algorithm with
-  | Auto_rg _ when top_threshold graph >= 3 ->
-      (* Products of three or more child families are where the
-         symbolic engine's shared structure wins (BENCH_kernels.json). *)
-      Bdd.minimal_risk_groups graph
+  | Auto_rg _ when symbolic graph -> Bdd.minimal_risk_groups graph
   | Auto_rg { max_family } -> (
-      (* Enumeration with absorption is the fast path on 1- and 2-way
-         products; when its family budget trips, the symbolic engine
+      (* One- and two-server deployments keep enumeration with
+         absorption; when its family budget trips, the symbolic engine
          computes the identical family without ever materializing
          intermediate ones. *)
       try Cutset.minimal_risk_groups ?max_family graph
@@ -83,7 +78,7 @@ let audit ?(rng = default_rng ()) db request =
     @@ fun () ->
     let rgs, top_probability =
       match (request.algorithm, request.ranking) with
-      | Auto_rg _, Probability_based when top_threshold graph >= 3 ->
+      | Auto_rg _, Probability_based when symbolic graph ->
           (* The symbolic path's one compile serves both the family and
              Pr(T), under the span {!Bdd.minimal_risk_groups} records. *)
           Obs.with_span "rg.bdd" @@ fun () ->

@@ -12,14 +12,14 @@ module Sampling = Indaas_faultgraph.Sampling
     failure sampling. *)
 type rg_algorithm =
   | Auto_rg of { max_family : int option }
-      (** the exact minimal family. The engine is picked from the top
-          gate's threshold — how many of its children must fail: the
-          number of children for [And], [k] for [Kofn k], 1 for [Or] or
-          a basic event. At 3 or more (e.g. a 1-of-3 or 2-of-4
-          deployment) it runs {!Bdd.minimal_risk_groups} directly; at 1
-          or 2 it runs {!Cutset.minimal_risk_groups}, falling back to
-          the BDD engine when that enumeration's family budget
-          [max_family] trips ([None]: {!Cutset.default_max_family}).
+      (** the exact minimal family. The engine is picked from the
+          deployment's server count, the number of the top gate's
+          children. With 3 or more (e.g. a 1-of-3, 2-of-3 or 2-of-4
+          deployment), whatever the threshold, it runs
+          {!Bdd.minimal_risk_groups} directly; with fewer it runs
+          {!Cutset.minimal_risk_groups}, falling back to the BDD
+          engine when that enumeration's family budget [max_family]
+          trips ([None]: {!Cutset.default_max_family}).
           Both engines return the identical family in identical order,
           so the choice never shows in the result; tests trip the
           fallback with a small [max_family]. *)

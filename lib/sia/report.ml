@@ -94,24 +94,56 @@ let render_comparison ?(max_rows = 30) reports =
 
 module Json = Indaas_util.Json
 
-let ranked_to_json (rg : Rank.ranked) =
-  Json.Obj
-    [
-      ("components", Json.List (List.map (fun n -> Json.String n) rg.Rank.rg_names));
-      ("size", Json.Int rg.Rank.size);
-      ( "probability",
-        match rg.Rank.probability with Some p -> Json.Float p | None -> Json.Null );
-      ( "importance",
-        match rg.Rank.importance with Some i -> Json.Float i | None -> Json.Null );
-    ]
+(* A report's tree shares its leaves, which changes no byte of its
+   encoding: one [String] per basic event, and for RGs without
+   probabilities one [size]/[probability]/[importance] tail per size.
+   A cached tree then costs little beyond each RG's list cells. *)
+let ranked_to_json (r : Audit.deployment_report) =
+  let g = r.Audit.graph in
+  let leaves = Array.make (Indaas_faultgraph.Graph.node_count g) Json.Null in
+  let leaf id =
+    match leaves.(id) with
+    | Json.Null ->
+        let s = Json.String (Indaas_faultgraph.Graph.name_of g id) in
+        leaves.(id) <- s;
+        s
+    | s -> s
+  in
+  let tails = Hashtbl.create 8 in
+  let tail (rg : Rank.ranked) =
+    let fields () =
+      [
+        ("size", Json.Int rg.Rank.size);
+        ( "probability",
+          match rg.Rank.probability with Some p -> Json.Float p | None -> Json.Null );
+        ( "importance",
+          match rg.Rank.importance with Some i -> Json.Float i | None -> Json.Null );
+      ]
+    in
+    if Option.is_some rg.Rank.probability || Option.is_some rg.Rank.importance
+    then fields ()
+    else
+      match Hashtbl.find_opt tails rg.Rank.size with
+      | Some t -> t
+      | None ->
+          let t = fields () in
+          Hashtbl.add tails rg.Rank.size t;
+          t
+  in
+  fun (rg : Rank.ranked) ->
+    Json.Obj
+      (( "components",
+         Json.List (Array.fold_right (fun id l -> leaf id :: l) rg.Rank.rg []) )
+      :: tail rg)
 
 let deployment_to_json (r : Audit.deployment_report) =
+  let rg_json = ranked_to_json r in
   Json.Obj
     [
       ("servers", Json.List (List.map (fun s -> Json.String s) r.Audit.servers));
       ("expected_rg_size", Json.Int r.Audit.expected_rg_size);
-      ("risk_groups", Json.List (List.map ranked_to_json r.Audit.ranked));
-      ("unexpected", Json.List (List.map ranked_to_json r.Audit.unexpected));
+      ("risk_groups", Json.List (List.map rg_json r.Audit.ranked));
+      ("unexpected", Json.List (List.map rg_json r.Audit.unexpected));
       ("independence_score", Json.Float r.Audit.independence_score);
       ( "failure_probability",
         match r.Audit.failure_probability with

@@ -1,5 +1,11 @@
 (** Rendering of SIA auditing reports — what the auditing agent
-    returns to the client in Step 6 of paper §2. *)
+    returns to the client in Step 6 of paper §2.
+
+    The JSON tree of a report shares its leaves: one [String] per
+    basic event, and for RGs without probabilities one
+    [size]/[probability]/[importance] tail per RG size. The daemon
+    caches these trees; sharing keeps them small and changes no byte
+    of their encoding. *)
 
 val render_deployment : ?max_rgs:int -> Audit.deployment_report -> string
 (** Human-readable report for one deployment: the ranked RG list

@@ -132,3 +132,38 @@ let is_terminal m node =
   else Some (Bdd.probability m node ~prob_of:(fun _ -> 0.5) = 1.)
 
 let minimal_rg_count g = List.length (Bdd.minimal_risk_groups g)
+
+(* The report tree as it was built before leaves were shared: a fresh
+   object, name strings and tail for every RG. The oracle
+   [Report.deployment_to_json] must encode byte for byte. *)
+module Json = Indaas_util.Json
+
+let ranked_to_json (rg : Indaas_sia.Rank.ranked) =
+  let module Rank = Indaas_sia.Rank in
+  Json.Obj
+    [
+      ("components", Json.List (List.map (fun n -> Json.String n) rg.Rank.rg_names));
+      ("size", Json.Int rg.Rank.size);
+      ( "probability",
+        match rg.Rank.probability with Some p -> Json.Float p | None -> Json.Null );
+      ( "importance",
+        match rg.Rank.importance with Some i -> Json.Float i | None -> Json.Null );
+    ]
+
+let deployment_to_json (r : Indaas_sia.Audit.deployment_report) =
+  let module Audit = Indaas_sia.Audit in
+  Json.Obj
+    [
+      ("servers", Json.List (List.map (fun s -> Json.String s) r.Audit.servers));
+      ("expected_rg_size", Json.Int r.Audit.expected_rg_size);
+      ("risk_groups", Json.List (List.map ranked_to_json r.Audit.ranked));
+      ("unexpected", Json.List (List.map ranked_to_json r.Audit.unexpected));
+      ("independence_score", Json.Float r.Audit.independence_score);
+      ( "failure_probability",
+        match r.Audit.failure_probability with
+        | Some p -> Json.Float p
+        | None -> Json.Null );
+      ( "diagnostics",
+        Json.List
+          (List.map Indaas_lint.Diagnostic.to_json r.Audit.diagnostics) );
+    ]

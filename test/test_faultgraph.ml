@@ -1034,6 +1034,33 @@ let prop_flat_table_model =
           && Flat_table.length t = Hashtbl.length model)
         ops)
 
+(* A probe allocates nothing: 1000 lookups, and 1000 inserts into a
+   table with room for them, leave the minor heap's word count where
+   it was. *)
+let test_flat_table_probes_allocate_nothing () =
+  let module Flat_table = Indaas_faultgraph.Flat_table in
+  let t = Flat_table.create 4096 in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let add () =
+    for i = 0 to 999 do
+      Flat_table.add t i (i land 7) (-i) i
+    done
+  in
+  let find () =
+    for i = 0 to 999 do
+      ignore (Flat_table.find t i (i land 7) (-i) : int);
+      ignore (Flat_table.find t i 8 0 : int)
+    done
+  in
+  check (Alcotest.float 0.) "add" 0. (minor_words add);
+  check (Alcotest.float 0.) "find" 0. (minor_words find);
+  check Alcotest.int "bound" 1000 (Flat_table.length t);
+  check Alcotest.int "found" 999 (Flat_table.find t 999 7 (-999))
+
 (* Two domains minimizing different graphs at once each get their own
    family, call after call. *)
 let test_domains_keep_own_spare () =
@@ -1211,6 +1238,8 @@ let () =
           qtest prop_of_family_is_union;
           qtest prop_reuse_invisible;
           qtest prop_flat_table_model;
+          Alcotest.test_case "flat table probes allocate nothing" `Quick
+            test_flat_table_probes_allocate_nothing;
           Alcotest.test_case "domains keep their own spare" `Quick
             test_domains_keep_own_spare;
           qtest prop_fussell_vesely_oracle;

@@ -310,11 +310,11 @@ let test_audit_auto_uses_enum_within_budget () =
   check Alcotest.bool "identical ranked output" true
     (Rank.size_based g (Cutset.minimal_risk_groups g) = auto.Audit.ranked)
 
-(* Auto picks its engine from the top gate's threshold: the BDD when
-   three or more servers must fail together, enumeration (with its
-   budget fallback) below that. The engines' spans show which one
-   ran. *)
-let test_audit_auto_engine_by_threshold () =
+(* Auto picks its engine from the deployment's server count: the BDD
+   for three or more servers, whatever their threshold, enumeration
+   (with its budget fallback) for one or two. The engines' spans show
+   which one ran. *)
+let test_audit_auto_engine_by_server_count () =
   let db =
     Depdb.of_string (Fixtures.read_file (Fixtures.example_path "webtier.xml"))
   in
@@ -336,8 +336,7 @@ let test_audit_auto_engine_by_threshold () =
   let three = [ "web1"; "web2"; "web3" ] in
   let spans = Alcotest.(list string) in
   check spans "1-of-3: BDD only" [ "rg.bdd" ] (engines_run ~required:1 three);
-  check spans "2-of-3: enumeration only" [ "rg.enum" ]
-    (engines_run ~required:2 three);
+  check spans "2-of-3: BDD only" [ "rg.bdd" ] (engines_run ~required:2 three);
   check spans "1-of-2: enumeration only" [ "rg.enum" ]
     (engines_run ~required:1 [ "web1"; "web3" ])
 
@@ -556,6 +555,44 @@ let test_json_report () =
   let cmp = Indaas_util.Json.to_string (Report.comparison_to_json [ report ]) in
   check Alcotest.bool "list" true (String.length cmp > 2 && cmp.[0] = '[')
 
+(* The report tree shares its leaves (one string per basic event, one
+   tail per RG size) and still encodes, compact and indented, to the
+   bytes of the per-RG tree in [Fixtures], for size-ranked,
+   probability-ranked and sampling audits of builder graphs from
+   random DepDBs at every [required]. *)
+let prop_shared_report_bytes =
+  QCheck.Test.make ~name:"shared report tree encodes like per-RG trees"
+    ~count:200 Fixtures.gen_db (fun records ->
+      let db = Depdb.create () in
+      Depdb.add_all db records;
+      let machines = Depdb.machines db in
+      let requests required =
+        [
+          Audit.request ~required machines;
+          Audit.request ~required
+            ~component_probability:(Builder.uniform_probability 0.1)
+            ~ranking:Audit.Probability_based machines;
+          Audit.request ~required
+            ~algorithm:(Audit.failure_sampling ~rounds:50) machines;
+        ]
+      in
+      List.for_all
+        (fun required ->
+          List.for_all
+            (fun request ->
+              match Audit.audit db request with
+              | exception Invalid_argument _ -> true
+              | report ->
+                  let shared = Report.deployment_to_json report
+                  and oracle = Fixtures.deployment_to_json report in
+                  List.for_all
+                    (fun indent ->
+                      Indaas_util.Json.to_string ~indent shared
+                      = Indaas_util.Json.to_string ~indent oracle)
+                    [ false; true ])
+            (requests required))
+        (List.init (List.length machines) succ))
+
 let () =
   Alcotest.run "sia"
     [
@@ -602,8 +639,8 @@ let () =
             test_audit_auto_falls_back_to_bdd;
           Alcotest.test_case "auto uses enumeration within budget" `Quick
             test_audit_auto_uses_enum_within_budget;
-          Alcotest.test_case "auto picks the engine by threshold" `Quick
-            test_audit_auto_engine_by_threshold;
+          Alcotest.test_case "auto picks the engine by server count" `Quick
+            test_audit_auto_engine_by_server_count;
           Alcotest.test_case "examples/db: engines byte-identical" `Quick
             test_examples_engines_identical;
           QCheck_alcotest.to_alcotest prop_engines_agree_on_builder_graphs;
@@ -615,5 +652,6 @@ let () =
           Alcotest.test_case "render comparison" `Quick test_render_comparison;
           Alcotest.test_case "summary line" `Quick test_summary_line;
           Alcotest.test_case "json report" `Quick test_json_report;
+          QCheck_alcotest.to_alcotest prop_shared_report_bytes;
         ] );
     ]
