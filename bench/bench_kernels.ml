@@ -6,8 +6,9 @@
    Also the RG-engine comparison: the bitset-kernel enumeration engine
    vs the BDD minimal-solutions engine on sparse and dense graphs and
    on fat-tree deployments of every redundancy shape the serving
-   benchmark audits, with the engine [auto] picks for each, persisted
-   to BENCH_kernels.json as the repo's perf baseline. *)
+   benchmark audits, with the engine [auto] picks for each and the
+   cost of size-ranking each family, persisted to BENCH_kernels.json
+   as the repo's perf baseline. *)
 
 open Bechamel
 open Toolkit
@@ -26,6 +27,7 @@ module Dependency = Indaas_depdata.Dependency
 module Collectors = Indaas_depdata.Collectors
 module Builder = Indaas_sia.Builder
 module Audit = Indaas_sia.Audit
+module Rank = Indaas_sia.Rank
 module Prng = Indaas_util.Prng
 module Json = Indaas_util.Json
 module Timing = Indaas_util.Timing
@@ -402,6 +404,7 @@ type fattree_row = {
   rgs : int;
   enum : engine_timing;
   bdd : engine_timing;
+  rank : engine_timing;  (** [Rank.size_based] on the family *)
   auto : string;
 }
 
@@ -414,12 +417,12 @@ let compare_fattree ~smoke =
         Indaas_util.Table.
           [
             Left; Right; Right; Right; Right; Right; Right; Right; Right;
-            Right; Right; Left;
+            Right; Right; Right; Right; Left;
           ]
       [
         "case"; "threshold"; "RGs"; "enum best5"; "enum p50 (IQR)";
         "enum minor w"; "enum major w"; "bdd best5"; "bdd p50 (IQR)";
-        "bdd minor w"; "bdd major w"; "auto";
+        "bdd minor w"; "bdd major w"; "rank best5"; "rank minor w"; "auto";
       ]
   in
   let cells t =
@@ -444,6 +447,7 @@ let compare_fattree ~smoke =
         if enum_rgs <> bdd_rgs then
           failwith
             (Printf.sprintf "bench_kernels: engines diverged on %S" case.ft_name);
+        let _, rank = time_engine (fun () -> Rank.size_based graph bdd_rgs) in
         let row =
           {
             case;
@@ -451,13 +455,19 @@ let compare_fattree ~smoke =
             rgs = List.length enum_rgs;
             enum;
             bdd;
+            rank;
             auto = auto_engines graph;
           }
         in
         Indaas_util.Table.add_row table
           ((case.ft_name :: string_of_int row.threshold
            :: string_of_int row.rgs :: cells enum)
-          @ cells bdd @ [ row.auto ]);
+          @ cells bdd
+          @ [
+              Bench_common.seconds rank.best5;
+              Printf.sprintf "%.0f" rank.minor_words;
+              row.auto;
+            ]);
         row)
       (fattree_cases ~smoke)
   in
@@ -493,6 +503,8 @@ let fattree_json row =
       ("bdd_iqr_seconds", Json.Float row.bdd.iqr);
       ("bdd_minor_words", Json.Float row.bdd.minor_words);
       ("bdd_major_words", Json.Float row.bdd.major_words);
+      ("rank_seconds", Json.Float row.rank.best5);
+      ("rank_minor_words", Json.Float row.rank.minor_words);
       ("auto", Json.String row.auto);
     ]
 

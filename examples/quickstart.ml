@@ -10,6 +10,7 @@ module Audit = Indaas_sia.Audit
 module Report = Indaas_sia.Report
 module Rank = Indaas_sia.Rank
 module Dot = Indaas_faultgraph.Dot
+module Cutset = Indaas_faultgraph.Cutset
 
 let () =
   print_endline "== INDaaS quickstart ==";
@@ -54,7 +55,7 @@ let () =
   List.iter
     (fun rg ->
       Printf.printf "  - {%s}: a single failure defeats the redundancy\n"
-        (String.concat ", " rg.Rank.rg_names))
+        (String.concat ", " (Cutset.names report.Audit.graph rg.Rank.rg)))
     report.Audit.unexpected;
 
   (* Step 3: export the fault graph for inspection. *)

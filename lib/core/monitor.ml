@@ -1,5 +1,7 @@
 module Audit = Indaas_sia.Audit
 module Rank = Indaas_sia.Rank
+module Graph = Indaas_faultgraph.Graph
+module Cutset = Indaas_faultgraph.Cutset
 module Prng = Indaas_util.Prng
 
 type change =
@@ -11,6 +13,7 @@ type change =
 
 type diff = {
   servers : string list;
+  graph : Graph.t;
   changes : change list;
   regressed : bool;
 }
@@ -21,18 +24,19 @@ module NameSet = Set.Make (struct
   let compare = compare
 end)
 
-let keys ranked = NameSet.of_list (List.map (fun r -> r.Rank.rg_names) ranked)
+let names_of report r = Cutset.names report.Audit.graph r.Rank.rg
+let keys report ranked = NameSet.of_list (List.map (names_of report) ranked)
 
 let diff_reports ~before ~after =
   if before.Audit.servers <> after.Audit.servers then
     invalid_arg "Monitor.diff_reports: different deployments";
-  let before_all = keys before.Audit.ranked in
-  let after_all = keys after.Audit.ranked in
-  let before_unexpected = keys before.Audit.unexpected in
-  let after_unexpected = keys after.Audit.unexpected in
+  let before_all = keys before before.Audit.ranked in
+  let after_all = keys after after.Audit.ranked in
+  let before_unexpected = keys before before.Audit.unexpected in
+  let after_unexpected = keys after after.Audit.unexpected in
   let appeared =
     List.filter
-      (fun r -> not (NameSet.mem r.Rank.rg_names before_all))
+      (fun r -> not (NameSet.mem (names_of after r) before_all))
       after.Audit.ranked
   in
   let resolved =
@@ -41,7 +45,7 @@ let diff_reports ~before ~after =
   let changes =
     List.map
       (fun r ->
-        if NameSet.mem r.Rank.rg_names after_unexpected then
+        if NameSet.mem (names_of after r) after_unexpected then
           Unexpected_appeared r
         else Risk_group_appeared r)
       appeared
@@ -67,7 +71,7 @@ let diff_reports ~before ~after =
             false)
       changes
   in
-  { servers = after.Audit.servers; changes; regressed }
+  { servers = after.Audit.servers; graph = after.Audit.graph; changes; regressed }
 
 let audit_series ?rng snapshots request =
   if snapshots = [] then invalid_arg "Monitor.audit_series: no snapshots";
@@ -80,15 +84,15 @@ let audit_series ?rng snapshots request =
 
 let braces names = "{" ^ String.concat ", " names ^ "}"
 
-let render_change = function
+let render_change graph = function
   | Unexpected_appeared r ->
       Printf.sprintf "!! new UNEXPECTED risk group %s (size %d)"
-        (braces r.Rank.rg_names) r.Rank.size
+        (braces (Cutset.names graph r.Rank.rg)) r.Rank.size
   | Unexpected_resolved names ->
       Printf.sprintf "   unexpected risk group %s resolved" (braces names)
   | Risk_group_appeared r ->
-      Printf.sprintf "   new risk group %s (size %d)" (braces r.Rank.rg_names)
-        r.Rank.size
+      Printf.sprintf "   new risk group %s (size %d)"
+        (braces (Cutset.names graph r.Rank.rg)) r.Rank.size
   | Risk_group_resolved names ->
       Printf.sprintf "   risk group %s resolved" (braces names)
   | Failure_probability_changed { before; after } ->
@@ -101,7 +105,7 @@ let render_diff d =
   else
     Printf.sprintf "%s:%s\n%s" (braces d.servers)
       (if d.regressed then " REGRESSED" else "")
-      (String.concat "\n" (List.map render_change d.changes))
+      (String.concat "\n" (List.map (render_change d.graph) d.changes))
 
 let first_regression diffs =
   let rec go i = function

@@ -23,6 +23,9 @@ type change =
 
 type diff = {
   servers : string list;
+  graph : Indaas_faultgraph.Graph.t;
+      (** the later audit's fault graph, which names the RGs of the
+          [_appeared] changes ({!Indaas_faultgraph.Cutset.names}) *)
   changes : change list;
   regressed : bool;
       (** some [Unexpected_appeared], or failure probability rose *)

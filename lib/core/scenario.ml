@@ -7,6 +7,7 @@ module Cloud = Indaas_iaas.Cloud
 module Sia_audit = Indaas_sia.Audit
 module Builder = Indaas_sia.Builder
 module Rank = Indaas_sia.Rank
+module Cutset = Indaas_faultgraph.Cutset
 module Pia_audit = Indaas_pia.Audit
 module Prng = Indaas_util.Prng
 
@@ -158,7 +159,7 @@ let run_hardware_case ?(rng = Prng.of_int 1) () =
   let initial_report = audit_vm_deployment cloud [ "VM7"; "VM8" ] in
   let top4 =
     List.filteri (fun i _ -> i < 4) initial_report.Sia_audit.ranked
-    |> List.map (fun r -> r.Rank.rg_names)
+    |> List.map (fun r -> Cutset.names initial_report.Sia_audit.graph r.Rank.rg)
   in
   (* Server-level audit to pick an independent pair of hosts, as the
      case study does before re-deploying. *)

@@ -86,11 +86,12 @@ let footprint m =
   in
   words * (Sys.word_size / 8)
 
-let bigger default arr =
-  let n = Array.length arr in
-  let a = Array.make (2 * n) default in
-  Array.blit arr 0 a 0 n;
+let resized default arr size =
+  let a = Array.make size default in
+  Array.blit arr 0 a 0 (Array.length arr);
   a
+
+let bigger default arr = resized default arr (2 * Array.length arr)
 
 let grow m =
   m.var <- bigger max_int m.var;
@@ -159,24 +160,10 @@ let apply_list m op = function
   | [] -> invalid_arg "Bdd.apply_list: empty"
   | first :: rest -> List.fold_left (fun acc x -> apply m op acc x) first rest
 
-let negate m a =
-  (* !a computed structurally (no complement edges); memoized through
-     the apply cache with a pseudo-op. *)
-  let rec neg a =
-    if a = terminal_false then terminal_true
-    else if a = terminal_true then terminal_false
-    else
-      let cached = Flat_table.find m.apply_cache 2 a a in
-      if cached >= 0 then cached
-      else
-        let r = mk m m.var.(a) (neg m.low.(a)) (neg m.high.(a)) in
-        Flat_table.add m.apply_cache 2 a a r;
-        r
-  in
-  neg a
-
 (* at-least-k-of over a list of BDDs, with memoization over (k, index)
-   — the standard threshold recursion. *)
+   — the standard threshold recursion. The children are monotone, so
+   at least k of the rest implies at least k - 1 of them: ite(x, with,
+   without) is (x AND with) OR without, and no child is negated. *)
 let kofn m k nodes =
   let arr = Array.of_list nodes in
   let n = Array.length arr in
@@ -190,14 +177,7 @@ let kofn m k nodes =
       else
         let with_i = go (k - 1) (i + 1) in
         let without_i = go k (i + 1) in
-        (* arr.(i) ? with_i : without_i  ==  (x AND with) OR (!x AND without):
-           use Shannon-style combination via apply *)
-        let x = arr.(i) in
-        let r =
-          apply m Op_or
-            (apply m Op_and x with_i)
-            (apply m Op_and (negate m x) without_i)
-        in
+        let r = apply m Op_or (apply m Op_and arr.(i) with_i) without_i in
         memo.(slot) <- r;
         r
   in
@@ -306,10 +286,24 @@ let graph_probability g =
    variables mean "absent from every member", so there is no
    don't-care collapse to corrupt set membership. *)
 
+(* The first time the ZDD store outgrows its arrays, it grows straight
+   to a size predicted from the compiled BDD rather than doubling its
+   way there: fat-tree audits end with 1.7-2.8 ZDD nodes and 4-6
+   [zunion]/[zwithout] memo entries per BDD node, so the arrays and
+   both tables are reserved for the upper end of each. A family that
+   fits the first arrays reserves nothing. *)
+let zdd_nodes_per_bdd_node = 3
+let zop_entries_per_bdd_node = 6
+
 let zgrow m =
-  m.zvar <- bigger max_int m.zvar;
-  m.zlow <- bigger (-1) m.zlow;
-  m.zhigh <- bigger (-1) m.zhigh
+  let wanted = zdd_nodes_per_bdd_node * m.next in
+  let rec pow2 n = if n >= wanted then n else pow2 (2 * n) in
+  let size = pow2 (2 * Array.length m.zvar) in
+  m.zvar <- resized max_int m.zvar size;
+  m.zlow <- resized (-1) m.zlow size;
+  m.zhigh <- resized (-1) m.zhigh size;
+  Flat_table.reserve m.zunique (2 * size);
+  Flat_table.reserve m.zop_cache (2 * zop_entries_per_bdd_node * m.next)
 
 let zmk m var low high =
   if high = terminal_false then low

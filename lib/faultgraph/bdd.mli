@@ -22,7 +22,10 @@
     per slot. The [minsol], {!probability} and {!node_count} memos are
     arrays indexed by node id. No lookup on the compile or minimize
     path boxes a key or allocates. A fresh manager's first arrays and
-    tables are sized from the graph's node count.
+    tables are sized from the graph's node count. When the ZDD store
+    first outgrows them, it grows in one step to a size predicted from
+    the compiled BDD: 3 ZDD nodes and 6 [union]/[without] memo entries
+    per BDD node, the upper end of what fat-tree audits use.
 
     {b Reuse.} {!minimal_risk_groups} and {!graph_probability} never
     hand out their manager, so each domain keeps one spare manager

@@ -42,9 +42,8 @@ let rec place_from t data mask a b c v i =
 (* Insert or overwrite, without the load check. *)
 let place t a b c v = place_from t t.data t.mask a b c v (hash a b c land t.mask)
 
-let grow t =
+let resize t slots =
   let old = t.data in
-  let slots = 2 * (t.mask + 1) in
   t.data <- Array.make (4 * slots) (-1);
   t.mask <- slots - 1;
   t.count <- 0;
@@ -55,8 +54,12 @@ let grow t =
 
 let add t a b c v =
   if v < 0 then invalid_arg "Flat_table.add: negative value";
-  if 2 * (t.count + 1) > t.mask + 1 then grow t;
+  if 2 * (t.count + 1) > t.mask + 1 then resize t (2 * (t.mask + 1));
   place t a b c v
+
+let reserve t slots =
+  let rec pow2 n = if n >= slots then n else pow2 (2 * n) in
+  if t.mask + 1 < slots then resize t (pow2 (t.mask + 1))
 
 let clear t =
   if t.count > 0 then begin

@@ -20,6 +20,12 @@ val add : t -> int -> int -> int -> int -> unit
 (** [add t a b c v] binds [(a, b, c)] to [v], replacing any earlier
     binding. Raises [Invalid_argument] when [v < 0]. *)
 
+val reserve : t -> int -> unit
+(** [reserve t slots] grows [t] in one step to at least [slots]
+    slots, keeping its bindings; nothing when it has that many. A
+    table reserved at twice the bindings it will get never doubles on
+    the way. *)
+
 val clear : t -> unit
 (** Removes every binding and keeps the capacity, in time linear in
     the capacity (nothing when already empty). *)

@@ -1,13 +1,16 @@
 (** The RG/audit result cache.
 
-    Entries are keyed by (snapshot content digest, request spec
-    digest) — everything a deterministic audit result is a function
-    of. Both digests are canonical, so two
-    textually different submissions with equal record sets share
-    entries, and a delta submission that changes the record set
-    changes the snapshot digest, orphaning the old entries; the server
-    then calls {!invalidate_snapshot} with the {e old} digest to
-    reclaim exactly the affected snapshot's entries and nothing else.
+    Entries are keyed by (snapshot, request spec digest). The server
+    names the snapshot by its content digest and its name, so entries
+    are per snapshot: two snapshots with one record set do not share
+    them. Both digests are canonical, so a resubmission that keeps a
+    snapshot's record set keeps its entries, and a delta that changes
+    the record set changes the digest, orphaning the old entries. The
+    server then calls {!invalidate_snapshot} with the {e old} key to
+    reclaim exactly that snapshot's entries and nothing else. It does
+    the same when the digest holds but the submitting source's record
+    list changed, order included: an answer's RG and name order follow
+    the union's record order, which the digest does not see.
 
     Hits and misses are counted locally (for the [stats] method) and
     mirrored into {!Indaas_obs} as [service.cache.hit] /
@@ -17,6 +20,8 @@ module Json := Indaas_util.Json
 
 type key = {
   snapshot_digest : string;
+      (** from the server, {!Snapshot.key}: the snapshot's content
+          digest and its name *)
   spec_digest : string;
   engine : string;
   budget : int option;

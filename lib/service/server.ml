@@ -84,12 +84,15 @@ let unknown_snapshot name =
   fail_code "unknown-snapshot" "no snapshot %S (submit dependency data first)"
     name
 
-(* The stored digest alone keys the cache, so a hit never touches the
-   records. A miss builds a DepDB of only the deployment's servers'
-   records ({!Snapshot.footprint}), never the union. *)
-let snapshot_digest t name =
-  match Snapshot.digest t.store ~snapshot:name with
-  | Some digest -> digest
+(* The stored key (content digest and snapshot name) keys the cache,
+   so a hit never touches the records, and two snapshots with one
+   content digest never share an entry: their record orders, and so
+   their answers, may differ. A miss builds a DepDB of only the
+   deployment's servers' records ({!Snapshot.footprint}), never the
+   union. *)
+let snapshot_key t name =
+  match Snapshot.key t.store ~snapshot:name with
+  | Some key -> key
   | None -> unknown_snapshot name
 
 let footprint_db t name ~machines =
@@ -125,13 +128,11 @@ let submit_deps t params =
     | records -> records
     | exception Failure msg -> bad "cannot parse records: %s" msg
   in
-  let old = Snapshot.digest t.store ~snapshot in
-  let info = Snapshot.update t.store ~snapshot ~source records in
+  let info, stale = Snapshot.update t.store ~snapshot ~source records in
   let invalidated =
-    match old with
-    | Some digest when digest <> info.Snapshot.digest ->
-        Cache.invalidate_snapshot t.cache ~digest
-    | _ -> 0
+    match stale with
+    | Some key -> Cache.invalidate_snapshot t.cache ~digest:key
+    | None -> 0
   in
   Obs.incr "service.submissions";
   Json.Obj
@@ -154,7 +155,7 @@ let audit_method t ~meth ?candidates ~servers params compute =
   in
   let key =
     {
-      Cache.snapshot_digest = snapshot_digest t snapshot;
+      Cache.snapshot_digest = snapshot_key t snapshot;
       spec_digest =
         Indaas_crypto.Digest.sha256_hex
           (Json.to_string (Params.spec_json ~meth ?candidates p));

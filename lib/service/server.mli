@@ -5,7 +5,8 @@
 
     - [submit-deps] — create/update one source of one snapshot from
       Table 1 wire text; invalidates the affected snapshot's cache
-      entries when the content digest changes.
+      entries when the content digest changes, or when the source's
+      record list changes (order included) under the same digest.
     - [audit] — structural independence audit of one deployment over a
       snapshot; the result is byte-identical to the batch
       [indaas sia --json] report for the same DepDB/spec/seed.

@@ -14,8 +14,9 @@ type info = {
 (* Everything a request needs before it misses the cache is computed
    once per accepted submission and kept beside [by_source]. The union
    DepDB is built on demand instead of kept, so the store's heap stays
-   at the size of its record lists. *)
-type snap = { info : info; by_source : Dependency.t list SM.t }
+   at the size of its record lists. [key] is made once per digest, so
+   every cache entry of a snapshot state shares the one string. *)
+type snap = { info : info; key : string; by_source : Dependency.t list SM.t }
 type store = { mutable snaps : snap SM.t }
 
 type view = {
@@ -30,10 +31,13 @@ let create () = { snaps = SM.empty }
 
 (* The digest and record count come from the sources' record lists
    (concatenated in name order) through the one canonical-digest
-   function; no union DepDB is built to accept a submission. *)
+   function; no union DepDB is built to accept a submission. The
+   source's old and new lists are compared only when the digest held,
+   so a delta that changes the record set pays for no comparison. *)
 let update store ~snapshot ~source records =
+  let prev = SM.find_opt snapshot store.snaps in
   let prev_version, prev_sources =
-    match SM.find_opt snapshot store.snaps with
+    match prev with
     | Some s -> (s.info.version, s.by_source)
     | None -> (0, SM.empty)
   in
@@ -53,11 +57,23 @@ let update store ~snapshot ~source records =
       sources = SM.bindings (SM.map List.length by_source);
     }
   in
-  store.snaps <- SM.add snapshot { info; by_source } store.snaps;
-  info
+  let key, stale =
+    match prev with
+    | Some p when p.info.digest = digest ->
+        let before =
+          Option.value ~default:[] (SM.find_opt source prev_sources)
+        in
+        ( p.key,
+          if List.equal Dependency.equal before records then None
+          else Some p.key )
+    | Some p -> (digest ^ "@" ^ snapshot, Some p.key)
+    | None -> (digest ^ "@" ^ snapshot, None)
+  in
+  store.snaps <- SM.add snapshot { info; key; by_source } store.snaps;
+  (info, stale)
 
-let digest store ~snapshot =
-  Option.map (fun s -> s.info.digest) (SM.find_opt snapshot store.snaps)
+let key store ~snapshot =
+  Option.map (fun s -> s.key) (SM.find_opt snapshot store.snaps)
 
 (* Sources merge in name order, so the union DepDB (and with it record
    iteration order everywhere downstream) is a pure function of the
@@ -65,7 +81,7 @@ let digest store ~snapshot =
    order-invariant anyway; this keeps reports deterministic too. *)
 let get store ~snapshot =
   Option.map
-    (fun { info; by_source } ->
+    (fun { info; by_source; _ } ->
       let db = Depdb.create () in
       SM.iter (fun _ records -> Depdb.add_all db records) by_source;
       {
@@ -96,7 +112,7 @@ let footprint store ~snapshot ~machines =
     (SM.find_opt snapshot store.snaps)
 
 let submit store ~snapshot ~source records =
-  ignore (update store ~snapshot ~source records);
+  ignore (update store ~snapshot ~source records : info * string option);
   Option.get (get store ~snapshot)
 
 let names store = List.map fst (SM.bindings store.snaps)

@@ -8,15 +8,19 @@
     world. Every accepted submission bumps the snapshot's version and
     recomputes its content digest
     ({!Indaas_depdata.Depdb.canonical_digest} of the sources' records),
-    which is what audit result caching keys on: a delta that does not change the record
-    set keeps the digest, so cached results stay valid.
+    which is what audit result caching keys on. A delta that does not
+    change the record set keeps the digest. It keeps cached results
+    valid only if it also keeps the submitting source's record list,
+    order included: the union's record order fixes the fault graph's
+    node ids, and with them the order of the names inside each RG and
+    of the RGs of one rank ({!update}).
 
     Cost model. The store keeps each source's record list plus, per
     snapshot, an {!info}: version, digest, distinct record count and
     per-source counts. {!update} computes it once per accepted
     submission from the sources' record lists: one sort, one
     serialization into a single buffer and one SHA-256 pass, with no
-    union DepDB built. {!digest} and {!to_json} only read stored
+    union DepDB built. {!key} and {!to_json} only read stored
     values. No DepDB is kept. When an audit misses the result cache,
     the server calls {!footprint}: one scan of the stored record lists
     that keeps only the deployment's servers' records (about 44 of
@@ -52,19 +56,30 @@ type view = {
 val create : unit -> store
 
 val update :
-  store -> snapshot:string -> source:string -> Dependency.t list -> info
+  store ->
+  snapshot:string ->
+  source:string ->
+  Dependency.t list ->
+  info * string option
 (** Replace [source]'s records inside [snapshot] (creating either as
-    needed) and return the snapshot's new stored values. Submitting an
-    empty list drops the source. *)
+    needed) and return the snapshot's new stored values, with the
+    snapshot's previous {!key} when the results cached under it no
+    longer hold: when the digest changed, and when it did not but
+    [source]'s record list changed, order included. [None] on the
+    snapshot's first submission and when [source] resubmits its list
+    unchanged. Submitting an empty list drops the source. *)
 
 val submit :
   store -> snapshot:string -> source:string -> Dependency.t list -> view
 (** {!update} followed by {!get}: the same update, plus a union
     build for the returned view. *)
 
-val digest : store -> snapshot:string -> string option
-(** The snapshot's stored content digest: a map lookup, no rebuild.
-    [None] for an unknown snapshot. *)
+val key : store -> snapshot:string -> string option
+(** The snapshot half of a result-cache key: the stored content
+    digest and the snapshot's name, so two snapshots with one record
+    set never share an entry. A map lookup, no rebuild; one string per
+    digest, made when the digest changes. [None] for an unknown
+    snapshot. *)
 
 val get : store -> snapshot:string -> view option
 (** Builds the union DepDB (but not the digest, which is stored). *)

@@ -5,15 +5,25 @@ module Cutset = Indaas_faultgraph.Cutset
 
 type ranked = {
   rg : Cutset.rg;
-  rg_names : string list;
+      (** basic-event ids; {!Cutset.names} gives their names, where a
+          caller prints or keys on them *)
   size : int;
   probability : float option;  (** Pr(all events in the RG occur) *)
   importance : float option;  (** I_C = Pr(C)/Pr(T), when weighted *)
 }
 
+(** {1 Name order}
+
+    Ties are broken in name order: two RGs compare as the lists
+    [Cutset.names g rg] do under [compare], element by element in
+    each RG's own (id) order, a proper prefix first. The ranking does
+    not build those lists. It sorts the graph's basic events by name
+    once (names are unique in a graph) and compares the RGs' ids by
+    their places in that sort. Both rankings are stable. *)
+
 val size_based : Graph.t -> Cutset.rg list -> ranked list
 (** Ascending by size (smallest — most alarming — first); ties in
-    deterministic name order. [probability]/[importance] are [None]. *)
+    name order. [probability]/[importance] are [None]. *)
 
 val probability_based :
   top_probability:float -> Graph.t -> Cutset.rg list -> ranked list

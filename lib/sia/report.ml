@@ -42,7 +42,7 @@ let render_deployment ?(max_rgs = 20) (r : Audit.deployment_report) =
         Table.add_row t
           [
             string_of_int (i + 1);
-            braces rg.Rank.rg_names;
+            braces (Indaas_faultgraph.Cutset.names r.Audit.graph rg.Rank.rg);
             string_of_int rg.Rank.size;
             opt_float rg.Rank.probability;
             opt_float rg.Rank.importance;

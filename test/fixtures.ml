@@ -138,11 +138,15 @@ let minimal_rg_count g = List.length (Bdd.minimal_risk_groups g)
    [Report.deployment_to_json] must encode byte for byte. *)
 module Json = Indaas_util.Json
 
-let ranked_to_json (rg : Indaas_sia.Rank.ranked) =
+let ranked_to_json g (rg : Indaas_sia.Rank.ranked) =
   let module Rank = Indaas_sia.Rank in
   Json.Obj
     [
-      ("components", Json.List (List.map (fun n -> Json.String n) rg.Rank.rg_names));
+      ( "components",
+        Json.List
+          (List.map
+             (fun n -> Json.String n)
+             (Indaas_faultgraph.Cutset.names g rg.Rank.rg)) );
       ("size", Json.Int rg.Rank.size);
       ( "probability",
         match rg.Rank.probability with Some p -> Json.Float p | None -> Json.Null );
@@ -156,8 +160,10 @@ let deployment_to_json (r : Indaas_sia.Audit.deployment_report) =
     [
       ("servers", Json.List (List.map (fun s -> Json.String s) r.Audit.servers));
       ("expected_rg_size", Json.Int r.Audit.expected_rg_size);
-      ("risk_groups", Json.List (List.map ranked_to_json r.Audit.ranked));
-      ("unexpected", Json.List (List.map ranked_to_json r.Audit.unexpected));
+      ( "risk_groups",
+        Json.List (List.map (ranked_to_json r.Audit.graph) r.Audit.ranked) );
+      ( "unexpected",
+        Json.List (List.map (ranked_to_json r.Audit.graph) r.Audit.unexpected) );
       ("independence_score", Json.Float r.Audit.independence_score);
       ( "failure_probability",
         match r.Audit.failure_probability with
@@ -167,3 +173,56 @@ let deployment_to_json (r : Indaas_sia.Audit.deployment_report) =
         Json.List
           (List.map Indaas_lint.Diagnostic.to_json r.Audit.diagnostics) );
     ]
+
+(* The ranking as it was before it compared name places: every RG's
+   name list built up front, then sorted with polymorphic [compare] on
+   those lists: the oracle [Rank.size_based] and
+   [Rank.probability_based] must order like. *)
+module Rank_oracle = struct
+  module Graph = Indaas_faultgraph.Graph
+  module Cutset = Indaas_faultgraph.Cutset
+  module Probability = Indaas_faultgraph.Probability
+
+  type ranked = {
+    rg : Cutset.rg;
+    rg_names : string list;
+    size : int;
+    probability : float option;
+    importance : float option;
+  }
+
+  let make g rg =
+    {
+      rg;
+      rg_names = Cutset.names g rg;
+      size = Array.length rg;
+      probability = None;
+      importance = None;
+    }
+
+  let size_based g rgs =
+    List.map (make g) rgs
+    |> List.sort (fun a b ->
+           match compare a.size b.size with
+           | 0 -> compare a.rg_names b.rg_names
+           | c -> c)
+
+  let probability_based ~top_probability g rgs =
+    List.map
+      (fun rg ->
+        let p = Probability.rg_probability g rg in
+        let importance =
+          if top_probability > 0. then
+            Probability.relative_importance ~top_probability ~rg_probability:p
+          else 0.
+        in
+        { (make g rg) with probability = Some p; importance = Some importance })
+      rgs
+    |> List.sort (fun a b ->
+           match (a.importance, b.importance) with
+           | Some ia, Some ib -> (
+               match compare ib ia with
+               | 0 -> compare a.rg_names b.rg_names
+               | c -> c)
+           | _ -> compare a.rg_names b.rg_names)
+end

@@ -7,6 +7,7 @@ module Depdb = Indaas_depdata.Depdb
 module Catalog = Indaas_depdata.Catalog
 module Sia_audit = Indaas_sia.Audit
 module Rank = Indaas_sia.Rank
+module Cutset = Indaas_faultgraph.Cutset
 module Pia_audit = Indaas_pia.Audit
 module Prng = Indaas_util.Prng
 
@@ -91,7 +92,11 @@ let test_agent_sia_run () =
       (* shared switch and shared base packages are unexpected *)
       check Alcotest.bool "found unexpected" true
         (List.length report.Sia_audit.unexpected > 0);
-      let names = List.concat_map (fun r -> r.Rank.rg_names) report.Sia_audit.unexpected in
+      let names =
+        List.concat_map
+          (fun r -> Cutset.names report.Sia_audit.graph r.Rank.rg)
+          report.Sia_audit.unexpected
+      in
       check Alcotest.bool "switch flagged" true (List.mem "sw" names);
       check Alcotest.bool "libc flagged" true (List.mem "libc6-2.13" names)
   | _ -> Alcotest.fail "one SIA report expected"
@@ -473,7 +478,8 @@ let test_monitor_detects_regression () =
       check Alcotest.bool "flags the shared switch" true
         (List.exists
            (function
-             | Monitor.Unexpected_appeared r -> r.Rank.rg_names = [ "swA" ]
+             | Monitor.Unexpected_appeared r ->
+                 Cutset.names d.Monitor.graph r.Rank.rg = [ "swA" ]
              | _ -> false)
            d.Monitor.changes);
       check (Alcotest.option Alcotest.int) "first regression" (Some 0)
@@ -559,7 +565,8 @@ let test_monitor_expected_size_changes () =
     (List.exists
        (function
          | Monitor.Risk_group_appeared r ->
-             List.sort compare r.Rank.rg_names = [ "swB"; "swC" ]
+             List.sort compare (Cutset.names d.Monitor.graph r.Rank.rg)
+             = [ "swB"; "swC" ]
          | _ -> false)
        d.Monitor.changes);
   (* And the reverse direction reports it resolved. *)

@@ -5,6 +5,7 @@ module Depdb = Indaas_depdata.Depdb
 module Sia_audit = Indaas_sia.Audit
 module Sia_report = Indaas_sia.Report
 module Sia_rank = Indaas_sia.Rank
+module Cutset = Indaas_faultgraph.Cutset
 module Params = Indaas_sia.Params
 module Vclock = Indaas_resilience.Vclock
 module Frame = Indaas_service.Frame
@@ -319,8 +320,8 @@ let prop_snapshot_matches_rebuild =
                 Json.Obj (List.map (fun (s, n) -> (s, Json.Int n)) sources) );
             ]
         in
-        if Snapshot.digest store ~snapshot:"s" <> Some digest then
-          QCheck.Test.fail_report "Snapshot.digest differs from rebuild";
+        if Snapshot.key store ~snapshot:"s" <> Some (digest ^ "@s") then
+          QCheck.Test.fail_report "Snapshot.key differs from rebuild";
         List.iter
           (fun (view : Snapshot.view) ->
             if
@@ -898,7 +899,9 @@ let test_rg_query_sampling_matches_batch () =
       in
       let batch =
         List.sort compare
-          (List.map (fun r -> r.Sia_rank.rg_names) report.Sia_audit.ranked)
+          (List.map
+             (fun r -> Cutset.names report.Sia_audit.graph r.Sia_rank.rg)
+             report.Sia_audit.ranked)
       in
       check
         Alcotest.(list (list string))
@@ -1184,7 +1187,7 @@ let batch_of_union db (query, spec) =
                        Json.List
                          (List.map
                             (fun n -> Json.String n)
-                            (Indaas_faultgraph.Cutset.names graph rg)))
+                            (Cutset.names graph rg)))
                      rgs) );
             ])
   | Compare candidates ->
@@ -1205,24 +1208,28 @@ let footprint_spec (query, spec) =
   Json.to_string (Params.spec_json ~meth ?candidates p)
 
 (* Every answer, hit or miss, equals the batch path over the current
-   union; and a delta that changes the snapshot digest drops exactly
-   the entries answered since the previous change. *)
+   union; and a delta that changes the snapshot digest, or keeps it
+   but changes the submitting source's record list (order included),
+   drops exactly the entries answered since the previous drop. *)
 let prop_footprint_equals_union =
   QCheck.Test.make ~name:"a footprint miss answers as the union would"
     ~count:300 arb_footprint_case (fun c ->
       let srv = Server.create () and store = Snapshot.create () in
+      (* Each source's record list, as the daemon parsed it. *)
+      let lists = Hashtbl.create 4 in
+      let list source = Option.value ~default:[] (Hashtbl.find_opt lists source) in
       let submit ~id source records =
         let records = Dependency.to_xml_many records in
-        ignore
-          (Snapshot.update store ~snapshot:"default" ~source
-             (Dependency.of_xml_many records));
+        let parsed = Dependency.of_xml_many records in
+        Hashtbl.replace lists source parsed;
+        ignore (Snapshot.update store ~snapshot:"default" ~source parsed);
         ok_exn
           (Server.handle srv (Client.submit_deps ~id ~source ~records ()))
       in
       List.iteri (fun i (source, records) -> ignore (submit ~id:i source records))
         c.sources;
       let union () = (Option.get (Snapshot.get store ~snapshot:"default")).db in
-      let digest () = Snapshot.digest store ~snapshot:"default" in
+      let key () = Snapshot.key store ~snapshot:"default" in
       let machines = [ "m0"; "m1"; "m2"; "m3"; "m4"; "ghost" ] in
       let footprint_matches () =
         let union = union () in
@@ -1254,9 +1261,12 @@ let prop_footprint_equals_union =
       let step = function
         | Ask i -> ask (List.nth c.queries i)
         | Delta (source, records) ->
-            let old = digest () in
+            let old = key () and before = list source in
             let reply = submit ~id:1 source records in
-            let dropped = if digest () = old then 0 else List.length !cached in
+            let dropped =
+              if key () = old && list source = before then 0
+              else List.length !cached
+            in
             if dropped > 0 then cached := [];
             Json.member "invalidated" reply = Some (Json.Int dropped)
             && entries_match () && footprint_matches ()
@@ -1264,6 +1274,45 @@ let prop_footprint_equals_union =
       footprint_matches ()
       && List.for_all ask c.queries
       && List.for_all step c.steps)
+
+(* A resubmission that only reorders a source keeps the content digest
+   but not the union's record order, which fixes the node ids and so
+   the order of the RGs an rg-query lists. The answer after it must be
+   the batch answer over the new union, not the cached one. *)
+let test_reorder_invalidates () =
+  let srv = Server.create () in
+  let disks = [ ("S1", "a"); ("S1", "b"); ("S2", "c") ] in
+  let query = (Rg_query [ "S1"; "S2" ], (Params.default, [])) in
+  let submit id order =
+    let records =
+      List.map
+        (fun (hw, dep) -> Dependency.hardware ~hw ~hw_type:"Disk" ~dep)
+        order
+    in
+    let reply =
+      ok_exn
+        (Server.handle srv
+           (Client.submit_deps ~id ~source:"lshw"
+              ~records:(Dependency.to_xml_many records) ()))
+    in
+    let db = Depdb.create () in
+    Depdb.add_all db records;
+    (reply, batch_of_union db query)
+  in
+  let answer = Alcotest.(result string string) in
+  let first, expected = submit 1 disks in
+  check answer "first answer" expected (served srv (footprint_request 2 query));
+  let reordered, expected' =
+    submit 3 [ List.nth disks 1; List.hd disks; List.nth disks 2 ]
+  in
+  check json "same digest" (Option.get (Json.member "digest" first))
+    (Option.get (Json.member "digest" reordered));
+  check json "the cached answer is dropped" (Json.Int 1)
+    (Option.get (Json.member "invalidated" reordered));
+  check Alcotest.bool "the union's order changed the answer" true
+    (expected <> expected');
+  check answer "answer over the reordered union" expected'
+    (served srv (footprint_request 4 query))
 
 (* Serving over the loopback: write the whole request stream, serve it
    in reads of at most [chunk] bytes, then collect the response bytes. *)
@@ -1600,6 +1649,8 @@ let () =
           qtest prop_serve_audit_equals_batch;
           qtest prop_serve_compare_equals_batch;
           qtest prop_footprint_equals_union;
+          Alcotest.test_case "reordered source invalidates" `Quick
+            test_reorder_invalidates;
           Alcotest.test_case "serve end to end" `Quick test_serve_end_to_end;
           Alcotest.test_case "serve deterministic" `Quick test_serve_deterministic;
           Alcotest.test_case "truncated stream" `Quick test_serve_truncated_stream;

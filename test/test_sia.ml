@@ -136,7 +136,7 @@ let test_size_based_order () =
     (Alcotest.list (Alcotest.list Alcotest.string))
     "smallest first"
     [ [ "A2" ]; [ "A1"; "A3" ] ]
-    (List.map (fun r -> r.Rank.rg_names) ranked)
+    (List.map (fun r -> Cutset.names g r.Rank.rg) ranked)
 
 let test_probability_based_order () =
   let g, rgs = ranked_graph () in
@@ -148,7 +148,7 @@ let test_probability_based_order () =
     (Alcotest.list (Alcotest.list Alcotest.string))
     "by importance"
     [ [ "A2" ]; [ "A1"; "A3" ] ]
-    (List.map (fun r -> r.Rank.rg_names) ranked);
+    (List.map (fun r -> Cutset.names g r.Rank.rg) ranked);
   match ranked with
   | [ first; second ] ->
       check (Alcotest.float 1e-4) "I(A2)" 0.8929 (Option.get first.Rank.importance);
@@ -176,9 +176,78 @@ let test_unexpected_filter () =
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
     "singletons are unexpected" [ [ "A2" ] ]
-    (List.map (fun r -> r.Rank.rg_names) u);
+    (List.map (fun r -> Cutset.names g r.Rank.rg) u);
   check Alcotest.int "none at level 1" 0
     (List.length (Rank.unexpected ~expected_size:1 ranked))
+
+(* Both rankings order a family as the string-list oracle in
+   [Fixtures] does, and the names of each ranked RG are the oracle's,
+   on builder graphs from random DepDBs at every [required]. The
+   family is shuffled together with a copy of each of its RGs and
+   each RG's proper prefix (so one name list can be a prefix of
+   another), and equal RGs must keep their input order (the rankings
+   are stable: the ranked arrays are physically the oracle's). The
+   probabilities cover ties in importance: one for every component
+   (RGs of one size tie), a few levels by name (some tie), and zero
+   (Pr(T) = 0: every RG ties, across sizes). Basic-event names are
+   unique in a graph ({!Graph.Builder.add_basic}), so no graph here
+   has two events of one name. *)
+let prop_rank_matches_string_oracle =
+  QCheck.Test.make ~name:"ranking on name places matches the string-list oracle"
+    ~count:200 (QCheck.pair Fixtures.gen_db QCheck.small_nat)
+    (fun (records, seed) ->
+      let module Oracle = Fixtures.Rank_oracle in
+      let db = Depdb.create () in
+      Depdb.add_all db records;
+      let machines = Depdb.machines db in
+      let same g ranked oracle =
+        List.map
+          (fun r -> (r.Rank.rg, r.Rank.size, r.Rank.probability, r.Rank.importance))
+          ranked
+        = List.map
+            (fun o -> (o.Oracle.rg, o.Oracle.size, o.Oracle.probability, o.Oracle.importance))
+            oracle
+        && List.map (fun r -> Cutset.names g r.Rank.rg) ranked
+           = List.map (fun o -> o.Oracle.rg_names) oracle
+        && List.for_all2 (fun r o -> r.Rank.rg == o.Oracle.rg) ranked oracle
+      in
+      let by_name name = Some (0.1 *. float_of_int (1 + (Hashtbl.hash name mod 3))) in
+      List.for_all
+        (fun required ->
+          List.for_all
+            (fun component_probability ->
+              match
+                Builder.build db
+                  (Builder.spec ~required ~component_probability machines)
+              with
+              | exception Invalid_argument _ -> true
+              | g ->
+                  let family = Cutset.minimal_risk_groups g in
+                  let prefixes =
+                    List.filter_map
+                      (fun rg ->
+                        let n = Array.length rg in
+                        if n > 1 then Some (Array.sub rg 0 (n - 1)) else None)
+                      family
+                  in
+                  let rgs =
+                    Prng.shuffle_list (Prng.of_int seed)
+                      (family @ List.map Array.copy family @ prefixes)
+                  in
+                  same g (Rank.size_based g rgs) (Oracle.size_based g rgs)
+                  && (component_probability "x" = None
+                     ||
+                     let top_probability = Bdd.graph_probability g in
+                     same g
+                       (Rank.probability_based ~top_probability g rgs)
+                       (Oracle.probability_based ~top_probability g rgs)))
+            [
+              (fun _ -> None);
+              Builder.uniform_probability 0.1;
+              by_name;
+              Builder.uniform_probability 0.;
+            ])
+        (List.init (List.length machines) succ))
 
 (* --- Audit --------------------------------------------------------------- *)
 
@@ -190,7 +259,8 @@ let test_audit_minimal_vs_sampling_agree () =
       (Audit.request ~algorithm:(Audit.failure_sampling ~rounds:3000) [ "S1"; "S2" ])
   in
   let names r =
-    List.sort compare (List.map (fun x -> x.Rank.rg_names) r.Audit.ranked)
+    List.sort compare
+      (List.map (fun x -> Cutset.names r.Audit.graph x.Rank.rg) r.Audit.ranked)
   in
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
@@ -200,7 +270,10 @@ let test_audit_unexpected_detection () =
   let db = figure2_db () in
   let report = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
   let unexpected =
-    List.sort compare (List.map (fun r -> r.Rank.rg_names) report.Audit.unexpected)
+    List.sort compare
+      (List.map
+         (fun r -> Cutset.names report.Audit.graph r.Rank.rg)
+         report.Audit.unexpected)
   in
   check
     (Alcotest.list (Alcotest.list Alcotest.string))
@@ -253,7 +326,8 @@ let test_choose_best_empty () =
 let test_audit_bdd_engine_agrees () =
   let db = figure2_db () in
   let names r =
-    List.sort compare (List.map (fun x -> x.Rank.rg_names) r.Audit.ranked)
+    List.sort compare
+      (List.map (fun x -> Cutset.names r.Audit.graph x.Rank.rg) r.Audit.ranked)
   in
   let report = Audit.audit db (Audit.request [ "S1"; "S2" ]) in
   let g = report.Audit.graph in
@@ -426,7 +500,11 @@ let test_zero_top_probability () =
   List.iter
     (fun (name, db, p, servers) ->
       let report = Audit.audit db (weighted p servers) in
-      let names = List.map (fun r -> r.Rank.rg_names) report.Audit.ranked in
+      let names =
+        List.map
+          (fun r -> Cutset.names report.Audit.graph r.Rank.rg)
+          report.Audit.ranked
+      in
       check (Alcotest.float 0.) (name ^ ": Pr(T)") 0.
         (Option.get report.Audit.failure_probability);
       check
@@ -613,6 +691,7 @@ let () =
             test_probability_based_order;
           Alcotest.test_case "independence scores" `Quick test_independence_scores;
           Alcotest.test_case "unexpected filter" `Quick test_unexpected_filter;
+          QCheck_alcotest.to_alcotest prop_rank_matches_string_oracle;
         ] );
       ( "exact",
         [
